@@ -1,58 +1,19 @@
-//! Backends experiment: the same planned pipeline executed on every
-//! registered backend, and feedback-driven backend selection.
+//! Backends experiment: the planned pipeline executed on every registered
+//! backend.
 //!
-//! The `ExecutionBackend` seam claims that *where* a plan runs is a knob
-//! like any other — cacheable, priceable, and learnable. This experiment
-//! checks all three claims on the representative corpus:
-//!
-//! 1. **Per-backend timings** — the planner's chosen pipeline is executed
-//!    warm (preparation cached, kernel + postprocess only) on each
-//!    backend: the reference rayon path, the serial oracle (the
-//!    determinism floor, never a planner candidate), and the column-tiled
-//!    cache-blocked path.
-//! 2. **Feedback convergence** — an adaptive engine plans normally
-//!    (always the reference backend on first sight — the default cost
-//!    model is deliberately pessimistic about tiling), an ablation sweep
-//!    feeds each candidate backend's observed timings into the feedback
-//!    store, and repeated auto traffic must end on (or within the switch
-//!    margin of) the observed-fastest *candidate* backend.
-//! 3. **Misprediction recovery** — the same loop under an adversarial
-//!    cost model that prices tiling as nearly free: first-sight selection
-//!    lands on the tiled backend, and execution feedback must walk it
-//!    back to the genuinely faster backend. This is the backend seam's
-//!    version of the planner experiment's demotion story: selection is
-//!    driven by measurement, not by trusting the model.
+//! Two backends ship: the production rayon path (`parallel-cpu`, which
+//! runs every auto plan) and the serial oracle (`serial-reference`, the
+//! determinism floor cross-validation compares against). The planner's
+//! chosen pipeline is executed warm (preparation cached, kernel +
+//! postprocess only) on each, so the table reads as the parallel path's
+//! gain over the oracle at equal plan knobs.
 
 use crate::report::{Direction, Report, Table};
 use crate::runner::{anchor_seconds, time_median, RunConfig};
-use cw_engine::{
-    BackendId, Engine, OperandKey, Plan, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
-    MIN_OBSERVATIONS_TO_SWITCH,
-};
+use cw_engine::{BackendId, Engine, Plan, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
 use cw_obs::{export, MetricsRegistry, Tracer};
 use cw_sparse::CsrMatrix;
 use std::sync::Arc;
-
-/// Auto multiplies served after the ablation sweep so the feedback loop
-/// has enough incumbent observations to evaluate (and make) a switch.
-/// Scales with the candidate count: evidence decays per recorded
-/// execution, so visiting-and-rejecting each stale-again candidate takes
-/// a few rounds per backend before the loop settles.
-const CONVERGENCE_ROUNDS: usize = 6 * CANDIDATES.len();
-
-/// Backends the timing table measures (the serial oracle included as the
-/// determinism floor).
-const MEASURED: [BackendId; 4] = [
-    BackendId::ParallelCpu,
-    BackendId::SerialReference,
-    BackendId::TiledCpu,
-    BackendId::AdaptiveCpu,
-];
-
-/// Backends the planner actually offers auto traffic (the oracle's caps
-/// opt it out), i.e. what feedback-driven selection chooses between.
-const CANDIDATES: [BackendId; 3] =
-    [BackendId::ParallelCpu, BackendId::TiledCpu, BackendId::AdaptiveCpu];
 
 /// Warm per-call seconds of `plan` on `a` (kernel + postprocess; the
 /// preparation is cached by the engine before timing starts).
@@ -61,61 +22,23 @@ fn warm_per_call(engine: &mut Engine, a: &CsrMatrix, plan: Plan, reps: usize) ->
     time_median(reps, || engine.multiply_planned(a, a, plan))
 }
 
-/// Serves the sweep-then-auto traffic pattern on `engine` and returns the
-/// converged plan plus the replan count: every candidate backend variant
-/// of `pipeline` gets enough forced observations to be trusted outright,
-/// then auto traffic lets the feedback loop switch (or hold).
-fn converge(engine: &mut Engine, a: &CsrMatrix, pipeline: Plan) -> (Plan, u64) {
-    for id in CANDIDATES {
-        for _ in 0..MIN_OBSERVATIONS_TO_SWITCH + 1 {
-            let _ = engine.multiply_planned(a, a, pipeline.on_backend(id));
-        }
-    }
-    let mut replans = 0;
-    for _ in 0..CONVERGENCE_ROUNDS {
-        let (_, r) = engine.multiply(a, a);
-        replans = r.feedback.map_or(replans, |f| f.replans);
-    }
-    let converged = engine.feedback().chosen_plan(&OperandKey::of(a)).expect("operand was seeded");
-    (converged, replans)
-}
-
 /// Runs the backends experiment.
 pub fn run(cfg: &RunConfig) -> Report {
     let datasets = cfg.select(cw_datasets::representative(cfg.scale));
-    let mut rep = Report::new(
-        "backends",
-        "Execution backends: per-backend timings and feedback-driven backend selection",
-    );
+    let mut rep = Report::new("backends", "Execution backends: per-backend warm timings");
     rep.note("All per-call timings are warm (prepared operand cached): kernel + postprocess only.");
     rep.note(
-        "Backends run the planner's chosen pipeline unchanged; only the execution strategy \
-         differs (rayon reference, serial oracle, column-tiled cache blocking, per-row \
-         adaptive kernel zoo). The oracle is the determinism floor, not a planner candidate — \
-         feedback selects between parallel-cpu, tiled-cpu, and adaptive-cpu.",
+        "Both backends run the planner's chosen pipeline unchanged; only the execution strategy \
+         differs (rayon production path vs the serial oracle).",
     );
-    rep.note(format!(
-        "converged = backend chosen by an adaptive engine after an ablation sweep \
-         ({} observations per candidate backend, zero noise floor) plus {CONVERGENCE_ROUNDS} \
-         auto multiplies; a switch needs a 25% margin, so near-ties legitimately hold the \
-         incumbent.",
-        MIN_OBSERVATIONS_TO_SWITCH
-    ));
 
-    // --- Table 1: the same pipeline on every backend ---
     let mut t = Table::new(vec![
         "Dataset",
         "plan (pipeline)",
         "parallel-cpu s",
         "serial-reference s",
-        "tiled-cpu s",
-        "adaptive-cpu s",
-        "fastest candidate",
-        "candidate gap",
+        "parallel speedup",
     ]);
-    // Per-dataset fastest *candidate* backend and its seconds (reused by
-    // the convergence tables below).
-    let mut fastest_candidate: Vec<(BackendId, f64)> = Vec::new();
     for d in &datasets {
         let a = d.build(cfg.scale);
         let mut meter = Engine::new(
@@ -123,21 +46,11 @@ pub fn run(cfg: &RunConfig) -> Report {
             DEFAULT_CACHE_CAPACITY,
         );
         let pipeline = meter.planner().plan(&a);
-        let mut seconds = Vec::with_capacity(MEASURED.len());
-        for id in MEASURED {
-            seconds.push(warm_per_call(&mut meter, &a, pipeline.on_backend(id), cfg.reps));
-        }
-        // Candidate seconds in MEASURED order: [0]=parallel, [2]=tiled,
-        // [3]=adaptive (the serial oracle at [1] is not a candidate).
-        let candidate_s =
-            [(CANDIDATES[0], seconds[0]), (CANDIDATES[1], seconds[2]), (CANDIDATES[2], seconds[3])];
-        let best = candidate_s
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one candidate");
-        let worst_s = candidate_s.into_iter().map(|(_, s)| s).fold(f64::MIN, f64::max);
-        fastest_candidate.push(best);
-        for (id, s) in MEASURED.iter().zip(&seconds) {
+        let seconds: Vec<f64> = BackendId::ALL
+            .iter()
+            .map(|&id| warm_per_call(&mut meter, &a, pipeline.on_backend(id), cfg.reps))
+            .collect();
+        for (id, s) in BackendId::ALL.iter().zip(&seconds) {
             rep.add_metric(
                 format!("warm_per_call_s/{}/{}", d.name, id.name()),
                 *s,
@@ -149,107 +62,19 @@ pub fn run(cfg: &RunConfig) -> Report {
             pipeline.describe(),
             format!("{:.6}", seconds[0]),
             format!("{:.6}", seconds[1]),
-            format!("{:.6}", seconds[2]),
-            format!("{:.6}", seconds[3]),
-            best.0.name().to_string(),
-            format!("{:.2}", worst_s / best.1.max(1e-12)),
+            format!("{:.2}", seconds[1] / seconds[0].max(1e-12)),
         ]);
     }
     rep.add_table("warm per-call seconds by execution backend", t);
-
-    // --- Table 2: feedback-driven backend selection (honest model) ---
-    let mut t = Table::new(vec![
-        "Dataset",
-        "first-sight backend",
-        "converged backend",
-        "replans",
-        "fastest backend (converged pipeline)",
-        "converged s",
-        "fastest s",
-        "slowdown vs fastest",
-    ]);
-    for d in &datasets {
-        let a = d.build(cfg.scale);
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-        let mut adaptive =
-            Engine::new(Planner::with_policy(cfg.seed, policy), DEFAULT_CACHE_CAPACITY);
-        let (_, first) = adaptive.multiply(&a, &a);
-        let (converged, replans) = converge(&mut adaptive, &a, first.plan);
-
-        // Isolate the backend axis: the *converged pipeline* measured on
-        // every candidate backend with one meter, so the comparison is
-        // backend choice alone (not pipeline choice or cross-run noise).
-        let mut meter = Engine::new(
-            Planner::with_policy(cfg.seed, PlanningPolicy::frozen()),
-            DEFAULT_CACHE_CAPACITY,
-        );
-        let mut converged_s = f64::NAN;
-        let mut best: Option<(BackendId, f64)> = None;
-        for id in CANDIDATES {
-            let s = warm_per_call(&mut meter, &a, converged.on_backend(id), cfg.reps);
-            if id == converged.backend {
-                converged_s = s;
-            }
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((id, s));
-            }
-        }
-        let (fastest_id, fastest_s) = best.expect("at least one candidate backend");
-        t.push_row(vec![
-            d.name.to_string(),
-            first.backend.name().to_string(),
-            converged.backend.name().to_string(),
-            format!("{replans}"),
-            fastest_id.name().to_string(),
-            format!("{converged_s:.6}"),
-            format!("{fastest_s:.6}"),
-            format!("{:.2}", converged_s / fastest_s.max(1e-12)),
-        ]);
-    }
-    rep.add_table("feedback-driven backend selection", t);
-
-    // --- Table 3: recovery from a backend misprediction ---
-    let mut t = Table::new(vec![
-        "Dataset",
-        "first-sight backend",
-        "converged backend",
-        "replans",
-        "fastest candidate",
-        "recovered",
-    ]);
-    for (i, d) in datasets.iter().enumerate() {
-        let a = d.build(cfg.scale);
-        // Adversarial model: column tiling predicted to save 90% of kernel
-        // time at zero pass overhead, so wide-output operands start on the
-        // tiled backend no matter what it actually costs.
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-        let mut planner = Planner::with_policy(cfg.seed, policy);
-        planner.cost.blocking_gain = 0.9;
-        planner.cost.tile_pass_overhead = 0.0;
-        let mut adaptive = Engine::new(planner, DEFAULT_CACHE_CAPACITY);
-        let (_, first) = adaptive.multiply(&a, &a);
-        let (converged, replans) = converge(&mut adaptive, &a, first.plan);
-        let (fastest_id, _) = fastest_candidate[i];
-        t.push_row(vec![
-            d.name.to_string(),
-            first.backend.name().to_string(),
-            converged.backend.name().to_string(),
-            format!("{replans}"),
-            fastest_id.name().to_string(),
-            if converged.backend == fastest_id { "yes" } else { "held (within margin)" }
-                .to_string(),
-        ]);
-    }
-    rep.add_table("recovery from an adversarial backend misprediction", t);
     rep.add_metric("anchor_s", anchor_seconds(cfg.reps), Direction::LowerIsBetter);
 
     // --- Trace artifact: one traced multiply per backend ---
-    // A separate engine (the timing tables above stay untraced), with the
+    // A separate engine (the timing table above stays untraced), with the
     // engine's plan/prepare/execute/postprocess spans and per-backend
     // kernel histograms exported as versioned JSON-lines.
     if let Some(d) = datasets.first() {
         let a = d.build(cfg.scale);
-        let tracer = Arc::new(Tracer::new(MEASURED.len()));
+        let tracer = Arc::new(Tracer::new(BackendId::ALL.len()));
         tracer.set_enabled(true);
         let registry = MetricsRegistry::new();
         let mut engine = Engine::new(
@@ -259,7 +84,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         engine.set_tracer(Arc::clone(&tracer));
         engine.cache().bind_metrics(&registry, "cache.");
         let pipeline = engine.planner().plan(&a);
-        for (i, id) in MEASURED.iter().enumerate() {
+        for (i, id) in BackendId::ALL.iter().enumerate() {
             tracer.begin_trace(i as u64);
             let start = tracer.now_ns();
             let (_, r) = engine.multiply_planned(&a, &a, pipeline.on_backend(*id));
@@ -281,92 +106,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backends_experiment_measures_and_converges() {
+    fn backends_experiment_measures_every_backend() {
         let cfg = RunConfig { reps: 1, subset: Some(2), ..Default::default() };
-        // The structural checks (report shape, timings present, obs
-        // artifact) hold on every run; the convergence checks are driven
-        // by *observed* kernel timings, which on a loaded 1-CPU CI box in
-        // debug can thrash the feedback loop past its 25% switch margin —
-        // so, like the calibration acceptance tests, take the best of 3
-        // attempts for those. A genuinely broken selection loop fails
-        // every attempt; timer noise only some.
-        let mut last_violation = None;
-        for _attempt in 0..3 {
-            let rep = run(&cfg);
-            assert_eq!(rep.id, "backends");
-            assert_eq!(rep.tables.len(), 3);
+        let rep = run(&cfg);
+        assert_eq!(rep.id, "backends");
+        assert_eq!(rep.tables.len(), 1);
 
-            let (_, timing) = &rep.tables[0];
-            assert_eq!(timing.rows.len(), 2);
-            for row in &timing.rows {
-                for col in 2..=5 {
-                    let s: f64 = row[col].parse().unwrap();
-                    assert!(s > 0.0, "column {col} must carry a timing: {row:?}");
-                }
+        let (_, timing) = &rep.tables[0];
+        assert_eq!(timing.rows.len(), 2);
+        for row in &timing.rows {
+            for col in 2..=3 {
+                let s: f64 = row[col].parse().unwrap();
+                assert!(s > 0.0, "column {col} must carry a timing: {row:?}");
             }
-
-            // One traced request per measured backend in the obs artifact.
-            let (_, jsonl) = rep
-                .attachments
-                .iter()
-                .find(|(n, _)| n == "OBS_backends.jsonl")
-                .expect("obs artifact");
-            let traces = jsonl.lines().filter(|l| l.contains("\"kind\":\"trace\"")).count();
-            assert_eq!(traces, MEASURED.len());
-            for id in MEASURED {
-                assert!(jsonl.contains(&format!("kernel_seconds.{}", id.name())));
-            }
-
-            let (_, conv) = &rep.tables[1];
-            let mut margin_matches = 0;
-            let mut violation = None;
-            for row in &conv.rows {
-                assert_eq!(row[1], "parallel-cpu", "first sight must be the reference backend");
-                let slowdown: f64 = row.last().unwrap().parse().unwrap();
-                // Converging exactly onto the observed-fastest candidate,
-                // or holding an incumbent inside the feedback loop's 25%
-                // switch margin, are both correct outcomes — with three
-                // near-tied CPU candidates the margin hold is the common
-                // one. The converged backend must stay competitive: the
-                // margin allows a ≤25%-slower incumbent, the rest is timer
-                // noise headroom; a wrong convergence misses by integer
-                // factors.
-                if row[2] == row[4] || slowdown <= 1.25 {
-                    margin_matches += 1;
-                }
-                if slowdown > 2.0 {
-                    violation = Some(format!(
-                        "{}: converged backend {} is {slowdown}x the fastest candidate ({})",
-                        row[0], row[2], row[4]
-                    ));
-                }
-            }
-            if margin_matches < 1 {
-                violation = Some(
-                    "feedback landed outside the switch margin of the fastest candidate \
-                     on every matrix"
-                        .to_string(),
-                );
-            }
-
-            // Misprediction recovery: the adversarial model misleads the
-            // first choice; feedback must end on a competitive backend.
-            let (_, recovery) = &rep.tables[2];
-            assert_eq!(recovery.rows.len(), 2);
-            for row in &recovery.rows {
-                if !(row[2] == row[4] || row[5].starts_with("held")) {
-                    violation = Some(format!(
-                        "{}: converged {} is neither the fastest candidate {} nor a margin hold",
-                        row[0], row[2], row[4]
-                    ));
-                }
-            }
-
-            if violation.is_none() {
-                return;
-            }
-            last_violation = violation;
+            assert!(row[1].contains("Adaptive") || row[1].contains("ClusterWise"), "{row:?}");
         }
-        panic!("convergence checks failed on all 3 attempts; last: {last_violation:?}");
+
+        // One traced request per backend in the obs artifact.
+        let (_, jsonl) =
+            rep.attachments.iter().find(|(n, _)| n == "OBS_backends.jsonl").expect("obs artifact");
+        let traces = jsonl.lines().filter(|l| l.contains("\"kind\":\"trace\"")).count();
+        assert_eq!(traces, BackendId::ALL.len());
+        for id in BackendId::ALL {
+            assert!(jsonl.contains(&format!("kernel_seconds.{}", id.name())));
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! per-operand `FeedbackStore`):
 //!
 //! 1. **Sweep** — for every corpus dataset, the planner's top pipelines
-//!    are measured on every builtin backend: one-off preprocessing
-//!    seconds plus warm per-multiply kernel seconds, recorded as
-//!    [`CalibrationSample`]s.
+//!    are measured on both builtin backends (the parallel path and the
+//!    serial oracle, which pins the parallel speedup): one-off
+//!    preprocessing seconds plus warm per-multiply kernel seconds,
+//!    recorded as [`CalibrationSample`]s.
 //! 2. **Fit** — even-indexed datasets train a [`Calibrator`] least-squares
 //!    fit; odd-indexed datasets are held out.
 //! 3. **Judge** — held-out median relative kernel-prediction error,
@@ -35,14 +36,6 @@ use cw_sparse::CsrMatrix;
 /// planner's cost-ranked head plus the static advisor's choice.
 const MAX_PIPELINES: usize = 4;
 
-/// Backends every pipeline is measured on.
-const BACKENDS: [BackendId; 4] = [
-    BackendId::ParallelCpu,
-    BackendId::SerialReference,
-    BackendId::TiledCpu,
-    BackendId::AdaptiveCpu,
-];
-
 /// Amortization horizon used when ranking predicted candidate costs
 /// (matches [`PlanningPolicy::default`]'s `expected_reuse`).
 const RANK_REUSE: f64 = 16.0;
@@ -50,10 +43,8 @@ const RANK_REUSE: f64 = 16.0;
 /// A first choice "agrees" with the observed-fastest candidate when its
 /// observed warm kernel is within this fraction of the fastest's —
 /// aligned with the feedback loop's 25% switch margin: a delta the loop
-/// itself would hold as a tie cannot count as a wrong choice here. With
-/// four near-tied CPU backends per pipeline the candidate field is dense,
-/// and sub-margin deltas measure timer noise (and the single global
-/// per-backend `kernel_scale`'s blindness to operand structure), not
+/// itself would hold as a tie cannot count as a wrong choice here.
+/// Sub-margin deltas between near-tied pipelines measure timer noise, not
 /// selection quality; a genuinely wrong choice misses by far more.
 pub const AGREEMENT_SLACK: f64 = 0.25;
 
@@ -72,8 +63,8 @@ struct DatasetSweep {
     name: String,
     features: OperandFeatures,
     static_knobs: PlanKnobs,
-    /// Planner-candidate measurements (serial oracle excluded — the
-    /// planner never offers it), used for plan-agreement judging.
+    /// Parallel-backend measurements (the serial oracle is never a
+    /// planner candidate), used for plan-agreement judging.
     candidates: Vec<MeasuredCandidate>,
     /// All samples (serial included) feeding the fit.
     samples: Vec<CalibrationSample>,
@@ -91,7 +82,7 @@ fn warm_kernel_median(engine: &mut Engine, a: &CsrMatrix, plan: Plan, reps: usiz
 }
 
 /// Measures one dataset: the planner's top pipelines (plus the static
-/// advisor's choice) on every backend.
+/// advisor's choice) on both backends.
 fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let planner = Planner::with_policy(cfg.seed, PlanningPolicy::frozen());
     let profile = planner.profile(a);
@@ -141,7 +132,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
         let (_, prep_timings, _) = meter.prepare_with(a, Some(pipeline));
         let prep_seconds = prep_timings.reorder_seconds + prep_timings.cluster_seconds;
 
-        for backend in BACKENDS {
+        for backend in BackendId::ALL {
             let plan = pipeline.on_backend(backend);
             let kernel_seconds = warm_kernel_median(&mut meter, a, plan, cfg.reps);
             samples.push(CalibrationSample {
@@ -149,11 +140,11 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
                 plan,
                 affinity,
                 // Attribute the measured prep once (to the reference
-                // sample); duplicates would triple-weight it in the fit.
+                // sample); a duplicate would double-weight it in the fit.
                 prep_seconds: if backend == BackendId::ParallelCpu { prep_seconds } else { 0.0 },
                 kernel_seconds,
             });
-            if backend != BackendId::SerialReference {
+            if backend == BackendId::ParallelCpu {
                 candidates.push(MeasuredCandidate { plan, affinity, kernel_seconds });
             }
         }
@@ -327,7 +318,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         sweeps.len().div_ceil(2),
         sweeps.len() / 2,
         sweeps.iter().map(|s| s.samples.len()).sum::<usize>(),
-        BACKENDS.len(),
+        BackendId::ALL.len(),
         cfg.reps
     ));
     rep.note(format!(
@@ -427,7 +418,7 @@ pub fn run(cfg: &RunConfig) -> Report {
             observed_fastest(sweep).kernel_seconds,
             Direction::LowerIsBetter,
         );
-        for backend in BACKENDS {
+        for backend in BackendId::ALL {
             if let Some(s) = sweep.samples.iter().find(|s| s.plan.backend == backend) {
                 rep.add_metric(
                     format!("warm_kernel_s/{}/{}", sweep.name, backend.name()),

@@ -14,25 +14,19 @@
 //! backend-sensitive (the SpMV reordering study) — so the execution
 //! strategy must be swappable without touching planning or caching.
 //!
-//! Four backends ship in [`BackendRegistry::builtin`]:
+//! Two backends ship in [`BackendRegistry::builtin`]:
 //!
-//! * [`ParallelCpu`] — the reference rayon path (the default; exactly the
-//!   execution behavior the engine had before this seam existed).
+//! * [`ParallelCpu`] — the production rayon path, which runs every auto
+//!   plan. How each row accumulates is the plan's accumulator knob, not
+//!   a backend: auto row-wise plans carry
+//!   [`cw_spgemm::AccumulatorKind::Adaptive`], the per-row kernel zoo.
 //! * [`SerialReference`] — a deterministic single-threaded oracle used by
 //!   cross-validation: every other backend must produce bit-identical
-//!   output for the same plan knobs.
-//! * [`TiledCpu`] — column-tiled (cache-blocked) execution: `B` is split
-//!   into column tiles so each tile's accumulator working set stays
-//!   cache-resident; a genuinely different performance point the planner
-//!   can discover through execution feedback.
-//! * [`AdaptiveCpu`] — the per-row kernel zoo: sorted-array / hash / dense
-//!   accumulators chosen per output row from upper-bound FLOP estimates
-//!   (`cw_spgemm::adaptive`), single-pass parallel, bit-identical to the
-//!   oracle because selection depends only on operand structure.
+//!   output for the same plan knobs. The planner never offers it to auto
+//!   traffic.
 //!
 //! Backend identity is part of [`crate::PlanKnobs`], so the plan cache
-//! keys preparations by `(fingerprint, knobs, backend)` and the
-//! [`crate::FeedbackStore`] learns per-backend timings.
+//! keys preparations by `(fingerprint, knobs, backend)`.
 
 use crate::plan::{ClusteringStrategy, KernelChoice, OutputShape, Plan};
 use crate::prepared::PrepTimings;
@@ -40,19 +34,12 @@ use cw_core::{
     fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig, CsrCluster,
 };
 use cw_reorder::Reordering;
-use cw_sparse::{ColIdx, CsrMatrix, Permutation};
-use cw_spgemm::adaptive::{spgemm_adaptive_with, AdaptiveOptions, AdaptiveThresholds};
+use cw_sparse::{CsrMatrix, Permutation};
 use cw_spgemm::rowwise::{spgemm_with, SpGemmOptions};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default column-tile width for the builtin [`TiledCpu`] backend: wide
-/// enough that the dense accumulator slab plus the tile's `B` rows stay
-/// L2-resident, narrow enough that genuinely wide outputs split into
-/// several tiles.
-pub const DEFAULT_TILE_COLS: usize = 512;
 
 /// Identity of one execution backend.
 ///
@@ -66,20 +53,12 @@ pub enum BackendId {
     ParallelCpu,
     /// Single-threaded deterministic oracle for cross-validation.
     SerialReference,
-    /// Column-tiled (cache-blocked) CPU execution.
-    TiledCpu,
-    /// Per-row adaptive kernel zoo (sorted-array / hash / dense).
-    AdaptiveCpu,
 }
 
 impl BackendId {
-    /// Every builtin backend id, in registry order.
-    pub const ALL: [BackendId; 4] = [
-        BackendId::ParallelCpu,
-        BackendId::SerialReference,
-        BackendId::TiledCpu,
-        BackendId::AdaptiveCpu,
-    ];
+    /// Every builtin backend id, in registry order (the order is the
+    /// wire index, see `docs/PROTOCOL.md`).
+    pub const ALL: [BackendId; 2] = [BackendId::ParallelCpu, BackendId::SerialReference];
 
     /// Short human-readable name (stable across releases; used in reports
     /// and as the backend key in serialized calibration profiles).
@@ -87,8 +66,6 @@ impl BackendId {
         match self {
             BackendId::ParallelCpu => "parallel-cpu",
             BackendId::SerialReference => "serial-reference",
-            BackendId::TiledCpu => "tiled-cpu",
-            BackendId::AdaptiveCpu => "adaptive-cpu",
         }
     }
 
@@ -99,46 +76,22 @@ impl BackendId {
     }
 
     /// The capability descriptor of the *builtin* implementation of this
-    /// id. Registry-resolved backends may override (e.g. a [`TiledCpu`]
-    /// constructed with a custom tile width); this is the default the
-    /// standalone [`crate::CostModel::estimate`] convenience uses.
+    /// id. Registry-resolved backends may override it; this is the
+    /// default the standalone [`crate::CostModel::estimate`] convenience
+    /// uses.
     pub fn caps(&self) -> BackendCaps {
         match self {
             BackendId::ParallelCpu => BackendCaps {
                 backend: *self,
                 description: "reference rayon path",
                 parallel: true,
-                planner_candidate: true,
                 kernel_scale: 1.0,
-                tile_cols: None,
-                deterministic_oracle: false,
             },
             BackendId::SerialReference => BackendCaps {
                 backend: *self,
                 description: "single-threaded deterministic oracle",
                 parallel: false,
-                planner_candidate: false,
                 kernel_scale: 1.0,
-                tile_cols: None,
-                deterministic_oracle: true,
-            },
-            BackendId::TiledCpu => BackendCaps {
-                backend: *self,
-                description: "column-tiled cache-blocked execution",
-                parallel: true,
-                planner_candidate: true,
-                kernel_scale: 1.0,
-                tile_cols: Some(DEFAULT_TILE_COLS),
-                deterministic_oracle: false,
-            },
-            BackendId::AdaptiveCpu => BackendCaps {
-                backend: *self,
-                description: "per-row adaptive kernel zoo",
-                parallel: true,
-                planner_candidate: true,
-                kernel_scale: 1.0,
-                tile_cols: None,
-                deterministic_oracle: false,
             },
         }
     }
@@ -147,10 +100,9 @@ impl BackendId {
 /// What a backend can do and how the [`crate::CostModel`] should price it.
 ///
 /// The descriptor is deliberately analytic, not boolean feature flags: the
-/// cost model folds `kernel_scale`, the parallel capability, and the tile
-/// geometry directly into its kernel-seconds estimate, so a backend's
-/// self-description *is* its prior in plan ranking (execution feedback then
-/// corrects it, exactly as for any other cost-model constant).
+/// cost model folds `kernel_scale` and the parallel capability directly
+/// into its kernel-seconds estimate, so a backend's self-description *is*
+/// its prior in plan pricing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendCaps {
     /// The backend this descriptor belongs to.
@@ -161,20 +113,9 @@ pub struct BackendCaps {
     /// cost model never applies the parallel speedup, whatever
     /// [`Plan::parallel`] says).
     pub parallel: bool,
-    /// Whether [`crate::Planner::plans_costed`] offers this backend as a
-    /// candidate for auto traffic. The [`SerialReference`] oracle sets
-    /// this `false`: it exists for validation, not for winning races.
-    pub planner_candidate: bool,
     /// Multiplier on modeled kernel seconds relative to the reference
     /// rayon path at equal knobs (`1.0` = priced identically).
     pub kernel_scale: f64,
-    /// `Some(width)` when execution is column-tiled with this tile width;
-    /// the cost model prices the per-tile pass overhead and the
-    /// cache-blocking gain from it.
-    pub tile_cols: Option<usize>,
-    /// Whether the backend guarantees bit-reproducible output across runs
-    /// and thread counts (the cross-validation oracle property).
-    pub deterministic_oracle: bool,
 }
 
 /// A backend-specific materialized operand, stored inside
@@ -197,7 +138,7 @@ pub trait BackendPayload: Any + Send + Sync + fmt::Debug {
 /// * `prepare` must honor every knob of the plan that affects *what* is
 ///   computed (reordering, clustering, kernel family) so results stay
 ///   bit-comparable across backends; knobs that only affect *how*
-///   (parallelism, tiling) are the backend's to interpret.
+///   (parallelism) are the backend's to interpret.
 /// * `execute` returns the kernel output in the operand's *internal*
 ///   (post-reordering) row order; [`crate::PreparedMatrix::multiply_timed`]
 ///   applies the inverse permutation afterwards, so backends never deal
@@ -273,9 +214,9 @@ pub fn apply_output_shape(c: CsrMatrix, shape: OutputShape, mask: Option<&CsrMat
 }
 
 /// The shared CPU operand representation: plain CSR for row-wise plans,
-/// `CSR_Cluster` for cluster-wise plans. All three builtin backends
-/// materialize this (the tiled backend wraps it in [`TiledOperand`]);
-/// custom backends are free to reuse it via [`materialize_cpu`].
+/// `CSR_Cluster` for cluster-wise plans. Both builtin backends
+/// materialize this; custom backends are free to reuse it via
+/// [`materialize_cpu`].
 #[derive(Debug, Clone)]
 pub enum CpuOperand {
     /// Row-wise kernels run over plain (possibly permuted) CSR.
@@ -297,34 +238,13 @@ impl BackendPayload for CpuOperand {
     }
 }
 
-/// The [`TiledCpu`] payload: the shared CPU operand plus the column-tile
-/// width chosen at prepare time.
-#[derive(Debug, Clone)]
-pub struct TiledOperand {
-    /// The materialized operand the per-tile kernels run over.
-    pub operand: CpuOperand,
-    /// Column-tile width (output columns per tile).
-    pub tile_cols: usize,
-}
-
-impl BackendPayload for TiledOperand {
-    fn approx_bytes(&self) -> usize {
-        self.operand.approx_bytes() + std::mem::size_of::<usize>()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// Materializes the CPU operand for `plan`: computes and applies the row
 /// permutation, builds the clustered format when the plan asks for one,
 /// and records per-stage timings. The returned permutation is the
 /// *inverse* of the total applied reordering (what maps kernel output rows
 /// back to original ids), matching the [`ExecutionBackend::prepare`]
-/// contract. Shared by every builtin backend (their payloads only differ
-/// in what wraps this operand), public so custom backends can reuse the
-/// same preprocessing.
+/// contract. Shared by both builtin backends, public so custom backends
+/// can reuse the same preprocessing.
 pub fn materialize_cpu(
     a: &CsrMatrix,
     plan: &Plan,
@@ -411,8 +331,9 @@ fn downcast<'p, P: BackendPayload>(payload: &'p dyn BackendPayload, backend: &st
     })
 }
 
-/// The reference rayon path: exactly the engine's pre-seam execution
-/// behavior, and the default backend of every plan.
+/// The production rayon path and the default backend of every plan. The
+/// plan's accumulator knob picks the kernel: fixed hash / dense / sort, or
+/// the per-row zoo for [`cw_spgemm::AccumulatorKind::Adaptive`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelCpu;
 
@@ -446,8 +367,8 @@ impl ExecutionBackend for ParallelCpu {
 /// execution always runs the serial kernel path regardless of
 /// [`Plan::parallel`]. Because every kernel accumulates each output entry
 /// in ascending-`k` order and extracts sorted columns, its output is
-/// bit-identical to the parallel and tiled backends under equal plan knobs
-/// — which is exactly what makes it a useful cross-validation reference.
+/// bit-identical to the parallel backend under equal plan knobs — which is
+/// exactly what makes it a useful cross-validation reference.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialReference;
 
@@ -478,200 +399,21 @@ impl ExecutionBackend for SerialReference {
     }
 }
 
-/// Column-tiled (cache-blocked) execution: `B` is split into column tiles
-/// of `tile_cols` columns, the plan's kernel runs once per tile (so the
-/// accumulator working set is bounded by the tile width instead of
-/// `ncols(B)`), and the per-tile outputs are stitched back together.
-///
-/// Tiling partitions work by *output column*, so each output entry's
-/// multiply-add sequence is unchanged (same ascending-`k` order) — the
-/// result is bit-identical to the untiled backends, only the memory access
-/// pattern differs. Outputs narrower than one tile degenerate to the
-/// untiled path.
-#[derive(Debug, Clone, Copy)]
-pub struct TiledCpu {
-    tile_cols: usize,
-}
-
-impl Default for TiledCpu {
-    fn default() -> Self {
-        TiledCpu::new(DEFAULT_TILE_COLS)
-    }
-}
-
-impl TiledCpu {
-    /// Tiled backend with an explicit column-tile width (floored at 1).
-    pub fn new(tile_cols: usize) -> TiledCpu {
-        TiledCpu { tile_cols: tile_cols.max(1) }
-    }
-
-    /// The configured column-tile width.
-    pub fn tile_cols(&self) -> usize {
-        self.tile_cols
-    }
-}
-
-impl ExecutionBackend for TiledCpu {
-    fn id(&self) -> BackendId {
-        BackendId::TiledCpu
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps { tile_cols: Some(self.tile_cols), ..BackendId::TiledCpu.caps() }
-    }
-
-    fn prepare(
-        &self,
-        a: &CsrMatrix,
-        plan: &Plan,
-        seed: u64,
-        cluster: &ClusterConfig,
-    ) -> (Arc<dyn BackendPayload>, Option<Permutation>, PrepTimings) {
-        let (operand, unpermute, timings) = materialize_cpu(a, plan, seed, cluster);
-        (Arc::new(TiledOperand { operand, tile_cols: self.tile_cols }), unpermute, timings)
-    }
-
-    fn execute(&self, payload: &dyn BackendPayload, plan: &Plan, b: &CsrMatrix) -> CsrMatrix {
-        let tiled = downcast::<TiledOperand>(payload, "tiled-cpu");
-        let opts = plan.spgemm_options();
-        let w = tiled.tile_cols.max(1);
-        let ntiles = b.ncols.div_ceil(w);
-        if ntiles <= 1 {
-            // Narrower than one tile: blocking buys nothing, run untiled.
-            return run_cpu_kernel(&tiled.operand, &opts, b);
-        }
-        let parts: Vec<CsrMatrix> = (0..ntiles)
-            .map(|t| {
-                let lo = t * w;
-                let hi = ((t + 1) * w).min(b.ncols);
-                let bt = column_tile(b, lo, hi);
-                run_cpu_kernel(&tiled.operand, &opts, &bt)
-            })
-            .collect();
-        hstack_tiles(&parts, w, b.ncols)
-    }
-}
-
-/// The column slice `b[:, lo..hi)` as its own CSR matrix (column indices
-/// rebased to the tile).
-fn column_tile(b: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
-    let mut row_ptr = Vec::with_capacity(b.nrows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<ColIdx> = Vec::new();
-    let mut vals = Vec::new();
-    for i in 0..b.nrows {
-        let (cols, vs) = b.row(i);
-        // CSR rows are column-sorted, so the tile's slice is contiguous.
-        let s = cols.partition_point(|&c| (c as usize) < lo);
-        let e = cols.partition_point(|&c| (c as usize) < hi);
-        col_idx.extend(cols[s..e].iter().map(|&c| c - lo as ColIdx));
-        vals.extend_from_slice(&vs[s..e]);
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix { nrows: b.nrows, ncols: hi - lo, row_ptr, col_idx, vals }
-}
-
-/// Stitches per-tile products (tile `t` covering columns `[t·w, …)`) back
-/// into one matrix: each output row is the concatenation of its tile rows
-/// with column indices re-offset, which preserves sorted order because the
-/// tiles partition the column range in ascending order.
-fn hstack_tiles(parts: &[CsrMatrix], w: usize, ncols: usize) -> CsrMatrix {
-    let nrows = parts[0].nrows;
-    let total: usize = parts.iter().map(|p| p.nnz()).sum();
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<ColIdx> = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for i in 0..nrows {
-        for (t, part) in parts.iter().enumerate() {
-            let offset = (t * w) as ColIdx;
-            let (cols, vs) = part.row(i);
-            col_idx.extend(cols.iter().map(|&c| c + offset));
-            vals.extend_from_slice(vs);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix { nrows, ncols, row_ptr, col_idx, vals }
-}
-
-/// Per-row adaptive execution: the kernel zoo of `cw_spgemm::adaptive`.
-/// Each output row's accumulator (sorted-array / hash / dense SPA) is
-/// chosen from its upper-bound intermediate-product count, and the
-/// numeric phase is single-pass (no symbolic re-run): FLOP-balanced row
-/// chunks build their own output segments which are stitched in row
-/// order.
-///
-/// Selection depends only on the structure of the operands and every zoo
-/// accumulator merges duplicate columns in arrival order, so output is
-/// bit-identical to [`SerialReference`] for any thresholds. Cluster-wise
-/// plans have no per-row dispatch (the cluster kernel amortizes across
-/// member rows already) and fall back to the standard cluster kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveCpu {
-    thresholds: AdaptiveThresholds,
-}
-
-impl AdaptiveCpu {
-    /// Adaptive backend with explicit kernel-selection thresholds.
-    pub fn new(thresholds: AdaptiveThresholds) -> AdaptiveCpu {
-        AdaptiveCpu { thresholds }
-    }
-
-    /// The configured kernel-selection thresholds.
-    pub fn thresholds(&self) -> AdaptiveThresholds {
-        self.thresholds
-    }
-}
-
-impl ExecutionBackend for AdaptiveCpu {
-    fn id(&self) -> BackendId {
-        BackendId::AdaptiveCpu
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendId::AdaptiveCpu.caps()
-    }
-
-    fn prepare(
-        &self,
-        a: &CsrMatrix,
-        plan: &Plan,
-        seed: u64,
-        cluster: &ClusterConfig,
-    ) -> (Arc<dyn BackendPayload>, Option<Permutation>, PrepTimings) {
-        let (operand, unpermute, timings) = materialize_cpu(a, plan, seed, cluster);
-        (Arc::new(operand), unpermute, timings)
-    }
-
-    fn execute(&self, payload: &dyn BackendPayload, plan: &Plan, b: &CsrMatrix) -> CsrMatrix {
-        let operand = downcast::<CpuOperand>(payload, "adaptive-cpu");
-        let opts = plan.spgemm_options();
-        match operand {
-            CpuOperand::RowWise(pa) => spgemm_adaptive_with(
-                pa,
-                b,
-                &AdaptiveOptions { thresholds: self.thresholds, parallel: opts.parallel },
-            ),
-            CpuOperand::ClusterWise(_) => run_cpu_kernel(operand, &opts, b),
-        }
-    }
-}
-
 /// The set of execution backends a planner/engine can resolve, keyed by
 /// [`BackendId`]. Registering a backend under an id that is already
-/// present replaces it (how tests install a [`TiledCpu`] with a custom
-/// tile width).
+/// present replaces it.
 ///
 /// ```
-/// use cw_engine::{BackendId, BackendRegistry, TiledCpu};
+/// use cw_engine::{BackendId, BackendRegistry, SerialReference};
 /// use std::sync::Arc;
 ///
 /// let mut reg = BackendRegistry::builtin();
 /// assert_eq!(reg.ids(), BackendId::ALL.to_vec());
 ///
-/// // Replace the tiled backend with a narrower tile width.
-/// reg.register(Arc::new(TiledCpu::new(64)));
-/// assert_eq!(reg.resolve(BackendId::TiledCpu).caps().tile_cols, Some(64));
+/// // Re-registering an id replaces the earlier instance.
+/// reg.register(Arc::new(SerialReference));
+/// assert_eq!(reg.len(), BackendId::ALL.len());
+/// assert!(!reg.resolve(BackendId::SerialReference).caps().parallel);
 /// ```
 #[derive(Clone)]
 pub struct BackendRegistry {
@@ -696,15 +438,11 @@ impl BackendRegistry {
         BackendRegistry { backends: Vec::new() }
     }
 
-    /// The four builtin backends: [`ParallelCpu`], [`SerialReference`],
-    /// [`TiledCpu`] at [`DEFAULT_TILE_COLS`], and [`AdaptiveCpu`] with
-    /// default thresholds.
+    /// The two builtin backends: [`ParallelCpu`] and [`SerialReference`].
     pub fn builtin() -> BackendRegistry {
         let mut reg = BackendRegistry::empty();
         reg.register(Arc::new(ParallelCpu));
         reg.register(Arc::new(SerialReference));
-        reg.register(Arc::new(TiledCpu::default()));
-        reg.register(Arc::new(AdaptiveCpu::default()));
         reg
     }
 
@@ -761,7 +499,7 @@ impl BackendRegistry {
 mod tests {
     use super::*;
     use cw_sparse::gen;
-    use cw_spgemm::spgemm_serial;
+    use cw_spgemm::{spgemm_serial, AccumulatorKind};
 
     fn prepared_product(backend: &dyn ExecutionBackend, a: &CsrMatrix, plan: Plan) -> CsrMatrix {
         let cfg = ClusterConfig::default();
@@ -773,6 +511,15 @@ mod tests {
         }
     }
 
+    /// Every accumulator knob the parallel backend must run bit-identically
+    /// to the oracle.
+    const ACCS: [AccumulatorKind; 4] = [
+        AccumulatorKind::Hash,
+        AccumulatorKind::Dense,
+        AccumulatorKind::Sort,
+        AccumulatorKind::Adaptive,
+    ];
+
     #[test]
     fn builtin_registry_has_all_builtin_backends() {
         let reg = BackendRegistry::builtin();
@@ -782,121 +529,86 @@ mod tests {
             assert_eq!(b.id(), id);
             assert_eq!(b.caps().backend, id);
         }
-        assert!(!reg.caps(BackendId::ParallelCpu).deterministic_oracle);
-        assert!(reg.caps(BackendId::SerialReference).deterministic_oracle);
-        assert!(!reg.caps(BackendId::SerialReference).planner_candidate);
+        assert!(reg.caps(BackendId::ParallelCpu).parallel);
+        assert!(!reg.caps(BackendId::SerialReference).parallel);
     }
 
     #[test]
     fn register_replaces_same_id() {
         let mut reg = BackendRegistry::builtin();
-        reg.register(Arc::new(TiledCpu::new(32)));
+        reg.register(Arc::new(ParallelCpu));
         assert_eq!(reg.len(), BackendId::ALL.len());
-        assert_eq!(reg.caps(BackendId::TiledCpu).tile_cols, Some(32));
+        assert_eq!(reg.ids(), [BackendId::SerialReference, BackendId::ParallelCpu]);
     }
 
     #[test]
     fn unregistered_caps_fall_back_to_builtin() {
         let reg = BackendRegistry::empty();
         assert!(reg.is_empty());
-        assert_eq!(reg.caps(BackendId::TiledCpu).tile_cols, Some(DEFAULT_TILE_COLS));
+        assert_eq!(reg.caps(BackendId::SerialReference), BackendId::SerialReference.caps());
         assert!(reg.get(BackendId::ParallelCpu).is_none());
     }
 
     #[test]
     fn all_backends_agree_bit_identically_on_rowwise_plans() {
         let a = gen::mesh::tri_mesh(12, 12, true, 3);
-        let plan = Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() };
-        let oracle = prepared_product(&SerialReference, &a, plan);
-        assert!(oracle.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
-        for backend in
-            [&ParallelCpu as &dyn ExecutionBackend, &TiledCpu::new(16), &AdaptiveCpu::default()]
-        {
-            let got = prepared_product(backend, &a, plan);
-            assert!(
-                got.approx_eq(&oracle, 0.0),
-                "{:?} diverges from the serial oracle",
-                backend.id()
-            );
+        for acc in ACCS {
+            let plan = Plan { reorder: Some(Reordering::Rcm), acc, ..Plan::baseline() };
+            let oracle = prepared_product(&SerialReference, &a, plan);
+            assert!(oracle.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
+            let got = prepared_product(&ParallelCpu, &a, plan);
+            assert!(got.approx_eq(&oracle, 0.0), "{acc:?} diverges from the serial oracle");
         }
     }
 
     #[test]
     fn all_backends_agree_bit_identically_on_clusterwise_plans() {
         let a = gen::banded::block_diagonal(96, (4, 8), 0.1, 2);
-        let plan = Plan {
-            clustering: ClusteringStrategy::Variable,
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
-        let oracle = prepared_product(&SerialReference, &a, plan);
-        assert!(oracle.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
-        for backend in
-            [&ParallelCpu as &dyn ExecutionBackend, &TiledCpu::new(8), &AdaptiveCpu::default()]
-        {
-            let got = prepared_product(backend, &a, plan);
-            assert!(
-                got.approx_eq(&oracle, 0.0),
-                "{:?} diverges from the serial oracle",
-                backend.id()
-            );
+        for acc in ACCS {
+            let plan = Plan {
+                clustering: ClusteringStrategy::Variable,
+                kernel: KernelChoice::ClusterWise,
+                acc,
+                ..Plan::baseline()
+            };
+            let oracle = prepared_product(&SerialReference, &a, plan);
+            assert!(oracle.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
+            let got = prepared_product(&ParallelCpu, &a, plan);
+            assert!(got.approx_eq(&oracle, 0.0), "{acc:?} diverges from the serial oracle");
         }
     }
 
-    #[test]
-    fn column_tile_round_trips_through_hstack() {
-        let b = gen::er::erdos_renyi_rect(40, 37, 4, 9);
-        let w = 10;
-        let ntiles = b.ncols.div_ceil(w);
-        let parts: Vec<CsrMatrix> =
-            (0..ntiles).map(|t| column_tile(&b, t * w, ((t + 1) * w).min(b.ncols))).collect();
-        for p in &parts {
-            p.validate().unwrap();
+    /// A payload no builtin backend produced.
+    #[derive(Debug)]
+    struct ForeignPayload;
+
+    impl BackendPayload for ForeignPayload {
+        fn approx_bytes(&self) -> usize {
+            0
         }
-        let back = hstack_tiles(&parts, w, b.ncols);
-        assert!(back.approx_eq(&b, 0.0), "tiling must partition the columns exactly");
-    }
 
-    #[test]
-    fn tiled_backend_degenerates_for_narrow_outputs() {
-        let a = gen::grid::poisson2d(6, 6); // 36 cols < any sensible tile
-        let plan = Plan::baseline();
-        let tiled = prepared_product(&TiledCpu::new(512), &a, plan);
-        let reference = prepared_product(&ParallelCpu, &a, plan);
-        assert!(tiled.approx_eq(&reference, 0.0));
-    }
-
-    #[test]
-    fn tiled_backend_handles_rectangular_rhs() {
-        let a = gen::er::erdos_renyi(50, 5, 3);
-        let b = gen::er::erdos_renyi_rect(50, 23, 3, 4);
-        let cfg = ClusterConfig::default();
-        let backend = TiledCpu::new(7);
-        let plan = Plan::baseline();
-        let (payload, _, _) = backend.prepare(&a, &plan, 7, &cfg);
-        let got = backend.execute(payload.as_ref(), &plan, &b);
-        assert!(got.numerically_eq(&spgemm_serial(&a, &b), 1e-9));
-        assert_eq!(got.ncols, 23);
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
     }
 
     #[test]
     #[should_panic(expected = "foreign payload")]
     fn foreign_payload_is_rejected() {
         let a = gen::grid::poisson2d(4, 4);
-        let plan = Plan::baseline();
-        let (payload, _, _) = TiledCpu::new(8).prepare(&a, &plan, 7, &ClusterConfig::default());
-        // A TiledOperand handed to the plain CPU backend must not be
-        // silently misinterpreted.
-        let _ = ParallelCpu.execute(payload.as_ref(), &plan, &a);
+        // A payload from another backend handed to the plain CPU backend
+        // must not be silently misinterpreted.
+        let _ = ParallelCpu.execute(&ForeignPayload, &Plan::baseline(), &a);
     }
 
     #[test]
     fn backend_ids_name_and_order() {
         assert_eq!(BackendId::default(), BackendId::ParallelCpu);
         let names: Vec<_> = BackendId::ALL.iter().map(|b| b.name()).collect();
-        assert_eq!(names, ["parallel-cpu", "serial-reference", "tiled-cpu", "adaptive-cpu"]);
+        assert_eq!(names, ["parallel-cpu", "serial-reference"]);
         for id in BackendId::ALL {
             assert_eq!(BackendId::parse(id.name()), Some(id));
         }
+        assert_eq!(BackendId::parse("tiled-cpu"), None);
     }
 }

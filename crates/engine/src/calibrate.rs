@@ -32,7 +32,7 @@
 //! ```
 
 use crate::backend::{BackendCaps, BackendId, BackendRegistry};
-use crate::cost::{CostEstimate, CostModel, OperandFeatures};
+use crate::cost::{dense_discounted, CostEstimate, CostModel, OperandFeatures};
 use crate::plan::{ClusteringStrategy, KernelChoice, Plan};
 use cw_reorder::Reordering;
 use std::fmt;
@@ -145,7 +145,7 @@ impl std::error::Error for ProfileParseError {}
 
 /// The cost-model constants in serialization order: one place defines the
 /// JSON field set, so the writer and parser cannot drift apart.
-const MODEL_FIELDS: [&str; 13] = [
+const MODEL_FIELDS: [&str; 11] = [
     "seconds_per_madd",
     "dense_acc_discount",
     "parallel_speedup",
@@ -157,8 +157,6 @@ const MODEL_FIELDS: [&str; 13] = [
     "fixed_cluster_per_nnz",
     "variable_cluster_per_nnz",
     "hierarchical_cluster_per_nnz",
-    "tile_pass_overhead",
-    "blocking_gain",
 ];
 
 fn model_field(model: &CostModel, name: &str) -> f64 {
@@ -174,8 +172,6 @@ fn model_field(model: &CostModel, name: &str) -> f64 {
         "fixed_cluster_per_nnz" => model.fixed_cluster_per_nnz,
         "variable_cluster_per_nnz" => model.variable_cluster_per_nnz,
         "hierarchical_cluster_per_nnz" => model.hierarchical_cluster_per_nnz,
-        "tile_pass_overhead" => model.tile_pass_overhead,
-        "blocking_gain" => model.blocking_gain,
         _ => unreachable!("unknown model field {name}"),
     }
 }
@@ -193,8 +189,6 @@ fn set_model_field(model: &mut CostModel, name: &str, v: f64) {
         "fixed_cluster_per_nnz" => model.fixed_cluster_per_nnz = v,
         "variable_cluster_per_nnz" => model.variable_cluster_per_nnz = v,
         "hierarchical_cluster_per_nnz" => model.hierarchical_cluster_per_nnz = v,
-        "tile_pass_overhead" => model.tile_pass_overhead = v,
-        "blocking_gain" => model.blocking_gain = v,
         _ => unreachable!("unknown model field {name}"),
     }
 }
@@ -428,9 +422,9 @@ impl Calibrator {
         Calibrator::with_registry(BackendRegistry::builtin())
     }
 
-    /// Empty calibrator resolving backend capability descriptors (tile
-    /// geometry, parallel flag) from `registry` — use when samples were
-    /// measured on non-default backends (e.g. a custom tile width).
+    /// Empty calibrator resolving backend capability descriptors (the
+    /// parallel flag) from `registry` — use when samples were measured on
+    /// non-default backends.
     pub fn with_registry(registry: BackendRegistry) -> Calibrator {
         Calibrator { samples: Vec::new(), registry, base: CostModel::default() }
     }
@@ -513,7 +507,7 @@ impl Calibrator {
         // kernel(reordered) = kernel(baseline) · (1 − reorder_gain · affinity)
         // is scale-free: the per-madd rate and backend scale cancel in the
         // observed ratio, so the gains can be fitted before either. Pairs
-        // match on operand, backend, accumulator, and parallelism.
+        // match on operand, backend, accumulator pricing, and parallelism.
         let is_baseline = |p: &Plan| {
             p.reorder.is_none_or(|r| r == Reordering::Original)
                 && p.kernel == KernelChoice::RowWise
@@ -525,7 +519,7 @@ impl Calibrator {
                 s.features.ncols,
                 s.features.nnz,
                 s.plan.backend,
-                s.plan.acc,
+                dense_discounted(s.plan.acc),
                 s.plan.parallel,
             )
         };
@@ -584,7 +578,7 @@ impl Calibrator {
         let mut log_speedups = Vec::new();
         for s in &self.samples {
             let caps = self.registry.caps(s.plan.backend);
-            if !(s.plan.parallel && caps.parallel && caps.tile_cols.is_none()) {
+            if !(s.plan.parallel && caps.parallel) {
                 continue;
             }
             for t in &self.samples {
@@ -624,7 +618,7 @@ impl Calibrator {
             if x > 0.0 {
                 residuals.push(Residual {
                     backend: s.plan.backend,
-                    dense: s.plan.acc == cw_spgemm::AccumulatorKind::Dense,
+                    dense: dense_discounted(s.plan.acc),
                     r: (s.kernel_seconds / x).ln(),
                 });
             }
@@ -822,9 +816,8 @@ mod tests {
         truth.model.parallel_speedup = 6.0;
         truth.model.cheap_reorder_per_nnz = 40e-9;
         truth.model.variable_cluster_per_nnz = 80e-9;
-        truth.backends[2].kernel_scale = 1.4; // tiled-cpu genuinely slower
-                                              // The additive cluster-row overhead is excluded from the log fit;
-                                              // zero it in the ground truth so recovery is exact.
+        // The additive cluster-row overhead is excluded from the log fit;
+        // zero it in the ground truth so recovery is exact.
         truth.model.cluster_row_overhead = 0.0;
 
         let mut cal = Calibrator::new();
@@ -840,8 +833,8 @@ mod tests {
         assert!(
             rel(fitted.model.variable_cluster_per_nnz, truth.model.variable_cluster_per_nnz) < 0.05
         );
-        let tiled = fitted.kernel_scale(BackendId::TiledCpu).unwrap();
-        assert!(rel(tiled, 1.4) < 0.05, "tiled scale {tiled}");
+        let serial = fitted.kernel_scale(BackendId::SerialReference).unwrap();
+        assert!(rel(serial, 1.0) < 0.05, "serial scale {serial}");
         // And the fitted profile predicts the ground-truth timings far
         // better than the hand-tuned defaults.
         let registry = BackendRegistry::builtin();
@@ -939,8 +932,8 @@ mod tests {
         profile.backends[0].kernel_scale = 3.0;
         let scaled = profile.apply_to_caps(BackendId::ParallelCpu.caps());
         assert_eq!(scaled.kernel_scale, 3.0);
-        let untouched = profile.apply_to_caps(BackendId::TiledCpu.caps());
-        assert_eq!(untouched.kernel_scale, BackendId::TiledCpu.caps().kernel_scale);
+        let untouched = profile.apply_to_caps(BackendId::SerialReference.caps());
+        assert_eq!(untouched.kernel_scale, BackendId::SerialReference.caps().kernel_scale);
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub struct OperandFeatures {
     /// Rows of the operand.
     pub nrows: usize,
     /// Columns of the operand (the output-width proxy for `A²`-shaped
-    /// traffic; column-tiled backends are priced from it).
+    /// traffic).
     pub ncols: usize,
     /// Stored nonzeros of the operand.
     pub nnz: usize,
@@ -202,6 +202,8 @@ pub struct CostModel {
     pub seconds_per_madd: f64,
     /// Multiplier on `seconds_per_madd` when the dense (SPA) accumulator
     /// runs instead of hash (narrow outputs, paper §2.2 / Nagasaka et al.).
+    /// The per-row adaptive accumulator is priced with the same discount:
+    /// it runs dense on the rows where dense wins.
     pub dense_acc_discount: f64,
     /// Effective speedup of the rayon-parallel kernel path.
     pub parallel_speedup: f64,
@@ -228,12 +230,6 @@ pub struct CostModel {
     /// Cluster-construction seconds per nonzero for hierarchical
     /// clustering (similarity discovery is itself SpGEMM-shaped).
     pub hierarchical_cluster_per_nnz: f64,
-    /// Fraction of kernel time added per *extra* column tile on a tiled
-    /// backend (each tile re-streams the operand's rows).
-    pub tile_pass_overhead: f64,
-    /// Fraction of kernel time cache blocking is predicted to save when a
-    /// tiled backend actually splits the output (more than one tile).
-    pub blocking_gain: f64,
 }
 
 impl Default for CostModel {
@@ -250,11 +246,6 @@ impl Default for CostModel {
             fixed_cluster_per_nnz: 4e-9,
             variable_cluster_per_nnz: 25e-9,
             hierarchical_cluster_per_nnz: 120e-9,
-            // Deliberately pessimistic about tiling: on first sight the
-            // reference rayon path wins and the tiled backend is only
-            // adopted once execution feedback observes it faster.
-            tile_pass_overhead: 0.10,
-            blocking_gain: 0.05,
         }
     }
 }
@@ -264,8 +255,8 @@ impl CostModel {
     /// plan's backend by its *builtin* capability descriptor
     /// ([`crate::BackendId::caps`]). Callers holding a
     /// [`crate::BackendRegistry`] (the planner) should prefer
-    /// [`CostModel::estimate_with_caps`], which honors instance-level
-    /// overrides such as a custom tile width.
+    /// [`CostModel::estimate_with_caps`], which honors registered and
+    /// calibrated overrides.
     pub fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
         self.estimate_with_caps(f, plan, affinity, &plan.backend.caps())
     }
@@ -275,9 +266,8 @@ impl CostModel {
     /// structural-evidence feature for the technique the plan realizes
     /// (`0` for the baseline): higher affinity predicts larger kernel
     /// savings from reordering/clustering, never larger prep cost. The
-    /// descriptor contributes the backend terms: `kernel_scale`, whether
-    /// the parallel speedup applies at all, and the column-tile geometry
-    /// (per-tile pass overhead vs cache-blocking gain).
+    /// descriptor contributes the backend terms: `kernel_scale` and
+    /// whether the parallel speedup applies at all.
     pub fn estimate_with_caps(
         &self,
         f: &OperandFeatures,
@@ -291,7 +281,7 @@ impl CostModel {
 
         // Base kernel: madds × per-madd seconds, accumulator-adjusted.
         let per_madd = self.seconds_per_madd
-            * if plan.acc == AccumulatorKind::Dense { self.dense_acc_discount } else { 1.0 };
+            * if dense_discounted(plan.acc) { self.dense_acc_discount } else { 1.0 };
         let mut kernel = madds * per_madd;
 
         match plan.kernel {
@@ -323,15 +313,6 @@ impl CostModel {
             kernel /= self.parallel_speedup.max(1.0);
         }
         kernel *= caps.kernel_scale.max(0.0);
-        if let Some(w) = caps.tile_cols {
-            let tiles = (f.ncols.max(1).div_ceil(w.max(1))) as f64;
-            if tiles > 1.0 {
-                // Each extra tile re-streams the operand's rows, but bounds
-                // the accumulator working set to the tile width.
-                kernel *= 1.0 + self.tile_pass_overhead * (tiles - 1.0);
-                kernel *= 1.0 - self.blocking_gain.clamp(0.0, 0.95);
-            }
-        }
         // Truncated output shapes shrink the *kernel* term only — prep is
         // untouched, so the paper's §4.5 amortization argument gets
         // strictly stronger for masked/top-k traffic: the same one-off
@@ -378,6 +359,13 @@ impl CostModel {
             }
         }
     }
+}
+
+/// Whether [`CostModel::dense_acc_discount`] prices `acc`: the dense SPA
+/// itself, and the per-row adaptive accumulator that runs it where it
+/// wins.
+pub(crate) fn dense_discounted(acc: AccumulatorKind) -> bool {
+    matches!(acc, AccumulatorKind::Dense | AccumulatorKind::Adaptive)
 }
 
 /// Exponentially weighted moving average with first-sample initialization
@@ -853,39 +841,23 @@ mod tests {
     }
 
     #[test]
-    fn tiled_backend_is_priced_worse_on_first_sight_for_wide_outputs() {
+    fn explicit_caps_override_the_builtin_descriptor() {
         let model = CostModel::default();
-        // Wide output: several tiles under the default tile width.
-        let mut f = features(2000, 16000, 0.2);
-        f.ncols = 4 * crate::DEFAULT_TILE_COLS;
+        let f = features(2000, 16000, 0.2);
         let plan = Plan::baseline();
-        let reference = model.estimate(&f, &plan, 0.0);
-        let tiled = model.estimate(&f, &plan.on_backend(crate::BackendId::TiledCpu), 0.0);
-        assert!(
-            tiled.kernel_seconds > reference.kernel_seconds,
-            "the default model must keep the reference path ahead ({} vs {})",
-            tiled.kernel_seconds,
-            reference.kernel_seconds
-        );
-        // Narrow output: one tile, the backends price identically.
-        f.ncols = 100;
-        let narrow_ref = model.estimate(&f, &plan, 0.0);
-        let narrow_tiled = model.estimate(&f, &plan.on_backend(crate::BackendId::TiledCpu), 0.0);
-        assert_eq!(narrow_ref.kernel_seconds, narrow_tiled.kernel_seconds);
+        let builtin = model.estimate(&f, &plan, 0.0);
+        let caps = crate::BackendCaps { kernel_scale: 2.0, ..crate::BackendId::ParallelCpu.caps() };
+        let scaled = model.estimate_with_caps(&f, &plan, 0.0, &caps);
+        assert_eq!(scaled.kernel_seconds, 2.0 * builtin.kernel_seconds);
     }
 
     #[test]
-    fn explicit_caps_override_the_builtin_descriptor() {
+    fn adaptive_accumulator_is_priced_like_dense() {
         let model = CostModel::default();
-        let mut f = features(2000, 16000, 0.2);
-        f.ncols = 64;
-        let plan = Plan::baseline().on_backend(crate::BackendId::TiledCpu);
-        // Builtin tile width (512): one tile, no surcharge.
-        let builtin = model.estimate(&f, &plan, 0.0);
-        // A narrow 16-column tile splits the same output into 4 tiles.
-        let caps = crate::BackendCaps { tile_cols: Some(16), ..crate::BackendId::TiledCpu.caps() };
-        let narrow = model.estimate_with_caps(&f, &plan, 0.0, &caps);
-        assert!(narrow.kernel_seconds > builtin.kernel_seconds);
+        let f = features(2000, 16000, 0.2);
+        let price = |acc| model.estimate(&f, &Plan { acc, ..Plan::baseline() }, 0.0).kernel_seconds;
+        assert_eq!(price(AccumulatorKind::Adaptive), price(AccumulatorKind::Dense));
+        assert!(price(AccumulatorKind::Adaptive) < price(AccumulatorKind::Hash));
     }
 
     #[test]

@@ -444,9 +444,9 @@ impl Engine {
         let key = CacheKey::new(fp, plan.knobs());
         let planner = &self.planner;
         // The plan names its backend; the planner's registry owns the
-        // implementation (so a custom registry — narrower tiles, an
-        // accelerator backend — changes execution without touching the
-        // cache or feedback layers).
+        // implementation (so a custom registry — an accelerator backend —
+        // changes execution without touching the cache or feedback
+        // layers).
         let backend = planner.backends.resolve(plan.backend);
         let (prepared, hit) = self.cache.get_or_prepare(
             key,

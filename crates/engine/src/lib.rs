@@ -12,16 +12,18 @@
 //! 1. **Plan** — [`Planner`] computes the structural [`Profile`] (via
 //!    `cw-reorder`'s advisor), prices every candidate [`Plan`] —
 //!    reordering × clustering strategy × kernel × accumulator ×
-//!    parallelism knobs × **execution backend** — with the analytic
-//!    [`CostModel`], and ranks them by cost amortized under the caller's
-//!    [`PlanningPolicy`] (expected reuse, optional preprocessing budget).
+//!    parallelism knobs — with the analytic [`CostModel`], and ranks them
+//!    by cost amortized under the caller's [`PlanningPolicy`] (expected
+//!    reuse, optional preprocessing budget). Row-wise candidates carry the
+//!    per-row adaptive accumulator
+//!    ([`cw_spgemm::AccumulatorKind::Adaptive`]).
 //!    [`Planner::plans_ranked`] is the budget-aware fall-through list;
 //!    [`Planner::plan_static`] keeps the pre-cost-model rule-based choice
 //!    for ablation.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
 //!    *on the plan's backend*: the [`ExecutionBackend`] owns its
 //!    backend-specific payload (permutation computed and applied,
-//!    `CSR_Cluster` built, tile geometry chosen), with per-stage timings
+//!    `CSR_Cluster` built), with per-stage timings
 //!    recorded. Prepared operands are reusable across any number of
 //!    right-hand sides and always return results in the original row
 //!    order.
@@ -31,23 +33,21 @@
 //!    optional TTL — with hit/miss/eviction/expiry counters, so repeated
 //!    traffic on the same matrix skips preprocessing entirely. Keying by
 //!    `(fingerprint, knobs)` — the knobs include the backend — lets
-//!    preparations under different plans and backends coexist, which is
-//!    what makes feedback re-planning cheap to undo.
+//!    preparations under different plans coexist, which is what makes
+//!    feedback re-planning cheap to undo.
 //! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`]
 //!    dispatch the prepared kernel through its backend ([`ParallelCpu`]
-//!    rayon by default, [`SerialReference`] oracle, [`TiledCpu`]
-//!    cache-blocked, [`AdaptiveCpu`] per-row kernel zoo — or anything
-//!    registered in the planner's
-//!    [`BackendRegistry`]) and return an [`ExecutionReport`] with the
-//!    backend id and per-stage wall-clock timings.
+//!    rayon, the one production path; [`SerialReference`], the oracle
+//!    cross-validation compares against; or anything registered in the
+//!    planner's [`BackendRegistry`]) and return an [`ExecutionReport`]
+//!    with the backend id and per-stage wall-clock timings.
 //! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
-//!    EWMAs of observed kernel seconds per candidate plan — backends
-//!    included, so per-backend timings are learned exactly like any other
-//!    knob. Observed timings correct the cost model's estimates after
-//!    every execution: plans that underperform their prediction are
-//!    demoted, observed-fast plans (and backends) promoted, so repeated
-//!    traffic converges on the empirically fastest plan (`cw-service`
-//!    threads this loop through every shard). Under
+//!    EWMAs of observed kernel seconds per candidate plan. Observed
+//!    timings correct the cost model's estimates after every execution:
+//!    plans that underperform their prediction are demoted, observed-fast
+//!    plans promoted, so repeated traffic converges on the empirically
+//!    fastest plan (`cw-service` threads this loop through every shard).
+//!    Under
 //!    [`PlanningPolicy::observation_half_life`] the evidence decays, so
 //!    operands whose performance drifts between submissions re-promote.
 //!
@@ -104,9 +104,8 @@ mod prepared;
 mod report;
 
 pub use backend::{
-    apply_output_shape, materialize_cpu, AdaptiveCpu, BackendCaps, BackendId, BackendPayload,
-    BackendRegistry, CpuOperand, ExecutionBackend, ParallelCpu, SerialReference, TiledCpu,
-    TiledOperand, DEFAULT_TILE_COLS,
+    apply_output_shape, materialize_cpu, BackendCaps, BackendId, BackendPayload, BackendRegistry,
+    CpuOperand, ExecutionBackend, ParallelCpu, SerialReference,
 };
 pub use cache::{CacheBound, CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
 pub use calibrate::{

@@ -294,9 +294,9 @@ mod tests {
     fn backend_is_part_of_the_knobs_and_description() {
         let p = Plan::baseline();
         assert_eq!(p.backend, BackendId::ParallelCpu);
-        let t = p.on_backend(BackendId::TiledCpu);
+        let t = p.on_backend(BackendId::SerialReference);
         assert_ne!(p.knobs(), t.knobs(), "backend must change cache identity");
-        assert!(t.describe().contains("tiled-cpu"), "{}", t.describe());
+        assert!(t.describe().contains("serial-reference"), "{}", t.describe());
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! preprocessing budget. The pure rule-based choice survives as
 //! [`Planner::plan_static`] for ablation against the cost model.
 //!
-//! Knob tuning is shared by every candidate: dense accumulators for narrow
-//! outputs per Nagasaka et al.'s regime analysis; serial execution for
-//! matrices too small to amortize fork/join.
+//! Knob tuning is shared by every candidate: row-wise plans get the
+//! per-row adaptive accumulator (Nagasaka et al.'s FLOP-binned kernel
+//! choice), cluster-wise plans a dense accumulator for narrow operands;
+//! serial execution for matrices too small to amortize fork/join.
 
 use crate::backend::{BackendCaps, BackendId, BackendRegistry};
 use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
-use crate::plan::{OutputShape, Plan};
+use crate::plan::{KernelChoice, OutputShape, Plan};
 use cw_core::ClusterConfig;
 use cw_reorder::advisor::{advise, advise_profiled, profile, Profile, Suggestion};
 use cw_reorder::Reordering;
@@ -28,8 +29,9 @@ use cw_spgemm::AccumulatorKind;
 /// multiply finishes in microseconds and rayon fork/join would dominate.
 pub const PARALLEL_ROW_THRESHOLD: usize = 512;
 
-/// Output widths up to this use the dense (SPA) accumulator; beyond it the
-/// hash accumulator's `O(row nnz)` footprint wins (paper §2.2 / \[40\]).
+/// Cluster-wise plans on operands with at most this many columns use the
+/// dense (SPA) accumulator; beyond it the hash accumulator's `O(row nnz)`
+/// footprint wins (paper §2.2 / \[40\]).
 pub const DENSE_ACC_COL_THRESHOLD: usize = 4096;
 
 /// One cost-ranked candidate: the tuned plan, its predicted cost, and the
@@ -57,21 +59,18 @@ pub struct Planner {
     pub policy: PlanningPolicy,
     /// The analytic cost model pricing candidate plans.
     pub cost: CostModel,
-    /// Execution backends the planner may plan onto (and the engine
-    /// resolves prepare/execute against). Backends whose capability
-    /// descriptor sets `planner_candidate` contribute plan variants to
-    /// [`Planner::plans_costed`], priced from their own caps.
+    /// Execution backends the engine resolves prepare/execute against;
+    /// candidates are priced from the registered backend's caps.
     pub backends: BackendRegistry,
-    /// When `Some`, every produced plan is pinned to this backend and no
-    /// cross-backend variants are generated — how a service shard (or an
-    /// ablation) forces one execution strategy end to end.
+    /// When `Some`, every produced plan is pinned to this backend — how a
+    /// service shard (or an ablation) forces one execution strategy end
+    /// to end. `None` plans onto [`BackendId::ParallelCpu`].
     pub forced_backend: Option<BackendId>,
     /// Optional fitted calibration ([`Planner::with_profile`]): its
     /// per-backend kernel scales override each registered backend's
-    /// self-described [`BackendCaps::kernel_scale`] during pricing, so
-    /// cross-backend candidates are ranked by *measured* relative speed
-    /// instead of the backends' own priors. (Installing the profile also
-    /// replaces [`Planner::cost`] with the fitted constants.)
+    /// self-described [`BackendCaps::kernel_scale`] during pricing.
+    /// (Installing the profile also replaces [`Planner::cost`] with the
+    /// fitted constants.)
     pub calibration: Option<CalibrationProfile>,
 }
 
@@ -101,8 +100,7 @@ impl Planner {
     }
 
     /// Planner pinned to one execution backend: every plan it produces
-    /// (ranked, static, or suggestion-derived) carries `backend`, and no
-    /// cross-backend candidates are generated.
+    /// (ranked, static, or suggestion-derived) carries `backend`.
     pub fn with_backend(seed: u64, backend: BackendId) -> Planner {
         Planner { seed, forced_backend: Some(backend), ..Planner::default() }
     }
@@ -203,33 +201,6 @@ impl Planner {
         }
         push(self.tune(a, Plan::baseline()), 0.0, &mut out);
 
-        // Cross-backend variants: every pipeline also runs on each
-        // registered alternative backend that advertises itself as a
-        // planner candidate, priced from that backend's own capability
-        // descriptor. Variants are appended *after* the reference-backend
-        // candidates, so a cost tie breaks toward the default path (the
-        // sort below is stable). A pinned planner skips this entirely.
-        // A column-tiled backend whose tile width the operand's output
-        // cannot split degenerates to the reference execution — offering
-        // it would seed a redundant twin candidate (identical predicted
-        // cost, identical behavior, distinct cache key) that the feedback
-        // loop could flap onto for no gain, so it is excluded up front.
-        if self.forced_backend.is_none() {
-            let alternates: Vec<(BackendId, &'static str)> = self
-                .backends
-                .iter()
-                .filter(|b| b.caps().planner_candidate && b.id() != BackendId::ParallelCpu)
-                .filter(|b| b.caps().tile_cols.is_none_or(|w| features.ncols > w.max(1)))
-                .map(|b| (b.id(), backend_rationale(b.id())))
-                .collect();
-            let base: Vec<RankedPlan> = out.clone();
-            for (id, rationale) in alternates {
-                for r in &base {
-                    push(Plan { backend: id, rationale, ..r.plan }, r.affinity, &mut out);
-                }
-            }
-        }
-
         let reuse = self.policy.expected_reuse;
         let budget = self.policy.prep_budget_seconds.unwrap_or(f64::INFINITY);
         out.sort_by(|x, y| {
@@ -267,14 +238,16 @@ impl Planner {
         if let Some(backend) = self.forced_backend {
             plan.backend = backend;
         }
-        // The accumulator is sized by the *output* width, which for C = A·B
-        // is b.ncols — unknown at plan time. a.ncols is the contraction
-        // dimension and tracks output width for the square/`A²` workloads
-        // this planner targets; rectangular B simply falls back to hash.
-        plan.acc = if a.ncols <= DENSE_ACC_COL_THRESHOLD {
-            AccumulatorKind::Dense
-        } else {
-            AccumulatorKind::Hash
+        // Row-wise kernels choose per row at execute time, when b.ncols
+        // and each row's FLOP bound are known. The cluster-wise kernel has
+        // no per-row dispatch, so it picks from a.ncols, which tracks the
+        // output width for the square/`A²` workloads this planner targets.
+        plan.acc = match plan.kernel {
+            KernelChoice::RowWise => AccumulatorKind::Adaptive,
+            KernelChoice::ClusterWise if a.ncols <= DENSE_ACC_COL_THRESHOLD => {
+                AccumulatorKind::Dense
+            }
+            KernelChoice::ClusterWise => AccumulatorKind::Hash,
         };
         plan.parallel = a.nrows >= PARALLEL_ROW_THRESHOLD;
         plan
@@ -293,24 +266,10 @@ impl Planner {
     }
 }
 
-/// Static rationale string for a cross-backend plan variant.
-fn backend_rationale(id: BackendId) -> &'static str {
-    match id {
-        BackendId::ParallelCpu => "reference rayon execution",
-        BackendId::SerialReference => "serial oracle execution",
-        BackendId::TiledCpu => {
-            "column-tiled variant: cache-blocked execution the feedback loop can adopt"
-        }
-        BackendId::AdaptiveCpu => {
-            "row-adaptive variant: per-row kernel zoo the feedback loop can adopt"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ClusteringStrategy, KernelChoice};
+    use crate::plan::ClusteringStrategy;
     use cw_sparse::gen;
 
     #[test]
@@ -429,14 +388,29 @@ mod tests {
 
     #[test]
     fn narrow_outputs_use_dense_accumulator() {
+        // Cluster-wise plans size their accumulator from a.ncols.
         let a = gen::grid::poisson2d(20, 20); // 400 cols
-        assert_eq!(Planner::default().plan(&a).acc, AccumulatorKind::Dense);
+        let plan = Planner::default().plan_for_suggestion(&a, Suggestion::ClusterInPlace);
+        assert_eq!(plan.acc, AccumulatorKind::Dense);
     }
 
     #[test]
     fn wide_outputs_use_hash_accumulator() {
         let a = gen::er::erdos_renyi(5000, 3, 1); // 5000 cols > threshold
-        assert_eq!(Planner::default().plan(&a).acc, AccumulatorKind::Hash);
+        let plan = Planner::default().plan_for_suggestion(&a, Suggestion::Hierarchical);
+        assert_eq!(plan.acc, AccumulatorKind::Hash);
+    }
+
+    #[test]
+    fn rowwise_plans_use_the_adaptive_accumulator() {
+        let planner = Planner::default();
+        for a in [gen::grid::poisson2d(20, 20), gen::er::erdos_renyi(5000, 3, 1)] {
+            for r in planner.plans_costed(&a) {
+                if r.plan.kernel == KernelChoice::RowWise {
+                    assert_eq!(r.plan.acc, AccumulatorKind::Adaptive, "{}", r.plan.describe());
+                }
+            }
+        }
     }
 
     #[test]
@@ -458,58 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn candidate_set_offers_tiled_variants_but_defaults_to_parallel_cpu() {
+    fn every_candidate_runs_on_the_parallel_backend() {
         let planner = Planner::default();
-        // Wide output (> one default tile): tiled variants are offered.
-        let wide = gen::er::erdos_renyi(1400, 3, 1);
-        let ranked = planner.plans_costed(&wide);
-        assert_eq!(
-            ranked[0].plan.backend,
-            BackendId::ParallelCpu,
-            "first-sight choice must stay on the reference backend: {}",
-            ranked[0].plan.describe()
-        );
-        assert!(
-            ranked.iter().any(|r| r.plan.backend == BackendId::TiledCpu),
-            "tiled variants must be in the candidate set for feedback to discover"
-        );
-        assert!(
-            ranked.iter().any(|r| r.plan.backend == BackendId::AdaptiveCpu),
-            "row-adaptive variants must be in the candidate set for feedback to discover"
-        );
-        assert!(
-            ranked.iter().all(|r| r.plan.backend != BackendId::SerialReference),
-            "the oracle must never be an auto-traffic candidate"
-        );
-    }
-
-    #[test]
-    fn narrow_outputs_get_no_degenerate_tiled_candidates() {
-        // One default tile covers the whole output: the tiled backend
-        // would execute identically to the reference path, so offering it
-        // would only seed a redundant twin the feedback loop could flap
-        // onto. It must not appear.
-        let planner = Planner::default();
-        for a in [gen::grid::poisson2d(16, 16), gen::mesh::tri_mesh(16, 16, true, 3)] {
-            assert!(a.ncols <= crate::backend::DEFAULT_TILE_COLS);
-            let ranked = planner.plans_costed(&a);
-            assert!(
-                ranked.iter().all(|r| r.plan.backend != BackendId::TiledCpu),
-                "narrow operands must get no tiled candidates"
-            );
-            assert!(
-                ranked.iter().any(|r| r.plan.backend == BackendId::AdaptiveCpu),
-                "the row-adaptive variant has no tile geometry and stays offered"
-            );
+        for a in [gen::er::erdos_renyi(1400, 3, 1), gen::mesh::tri_mesh(16, 16, true, 3)] {
+            for r in planner.plans_costed(&a) {
+                assert_eq!(r.plan.backend, BackendId::ParallelCpu, "{}", r.plan.describe());
+            }
         }
-        // A registry with a narrower tile re-enables the variants.
-        let mut narrow_tiles = Planner::default();
-        narrow_tiles.backends.register(std::sync::Arc::new(crate::backend::TiledCpu::new(64)));
-        let a = gen::grid::poisson2d(16, 16); // 256 cols > 64-wide tiles
-        assert!(narrow_tiles
-            .plans_costed(&a)
-            .iter()
-            .any(|r| r.plan.backend == BackendId::TiledCpu));
     }
 
     #[test]

@@ -828,4 +828,29 @@ mod tests {
         assert_eq!(product, p2);
         assert_eq!(r2.backend_id(), Some(cw_engine::BackendId::ALL[0]));
     }
+
+    #[test]
+    fn retired_backend_indices_decode_to_no_backend() {
+        // Wire indices 2 and 3 named the retired tiled and adaptive
+        // backends; reports carrying them still decode.
+        for backend in [2u8, 3] {
+            let r = WireReport {
+                shard: 0,
+                batch_size: 1,
+                queue_seconds: 0.0,
+                execute_seconds: 0.0,
+                latency_seconds: 0.0,
+                cache_hit: false,
+                backend,
+                priority: Priority::High,
+                deadline_slack_seconds: None,
+                shape: OutputShape::Full,
+            };
+            let mut buf = Vec::new();
+            r.encode_into(&mut buf);
+            let (back, _) = WireReport::decode(&buf).unwrap();
+            assert_eq!(back.backend, backend);
+            assert_eq!(back.backend_id(), None);
+        }
+    }
 }

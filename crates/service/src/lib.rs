@@ -26,12 +26,10 @@
 //!   plan switches surface as [`ServiceReport::replanned`] and the
 //!   per-shard `replans` counter.
 //! * **Backend selection** — shards execute through the engine's
-//!   [`cw_engine::ExecutionBackend`] seam: by default each shard's
-//!   planner starts operands on the reference rayon backend and lets
-//!   execution feedback adopt alternatives (e.g. the column-tiled
-//!   backend); [`ServiceConfig::backend`] pins every shard to one backend
-//!   end to end, and each [`ServiceReport`] names the backend that served
-//!   it.
+//!   [`cw_engine::ExecutionBackend`] seam: by default every shard runs
+//!   the rayon production backend; [`ServiceConfig::backend`] pins every
+//!   shard to one backend end to end (e.g. the serial oracle), and each
+//!   [`ServiceReport`] names the backend that served it.
 //! * **Observability** — every response carries a [`ServiceReport`]
 //!   (queue wait, batch size, executing backend, cache outcome, feedback
 //!   calibration state, per-stage [`cw_engine::ExecutionReport`]

@@ -43,12 +43,10 @@ pub struct ServiceConfig {
     /// re-plan operands from observed timings.
     pub policy: PlanningPolicy,
     /// Execution-backend selection for the shards. `None` (the default)
-    /// lets each shard's planner pick per operand — the reference
-    /// [`BackendId::ParallelCpu`] path on first sight, with alternative
-    /// backends adopted through execution feedback. `Some(id)` pins every
-    /// shard's planner to that backend (oracle deployments, ablations,
-    /// machines where one backend is known best); per-request forced plans
-    /// still override it.
+    /// runs every auto plan on the [`BackendId::ParallelCpu`] path.
+    /// `Some(id)` pins every shard's planner to that backend (oracle
+    /// deployments, ablations); per-request forced plans still override
+    /// it.
     pub backend: Option<BackendId>,
     /// Optional fitted [`CalibrationProfile`] installed into every shard's
     /// planner ([`Planner::with_profile`]): first-sight plan ranking then

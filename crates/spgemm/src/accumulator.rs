@@ -26,6 +26,11 @@ pub enum AccumulatorKind {
     Dense,
     /// Append + sort + merge (ESC-style).
     Sort,
+    /// Per-row choice among sorted-array, hash, and dense accumulators
+    /// from each row's upper-bound FLOP count ([`crate::adaptive`]).
+    /// Row-wise kernels dispatch it to the adaptive kernel; kernels
+    /// without per-row dispatch get the hash accumulator.
+    Adaptive,
 }
 
 /// Common interface of all sparse accumulators.
@@ -366,9 +371,11 @@ impl Accumulator for SortedArrayAccumulator {
 }
 
 /// A boxed accumulator of the requested kind, sized for `ncols` columns.
+/// [`AccumulatorKind::Adaptive`] has no single accumulator and maps to
+/// hash, the zoo's general-purpose middle.
 pub fn make_accumulator(kind: AccumulatorKind, ncols: usize) -> Box<dyn Accumulator> {
     match kind {
-        AccumulatorKind::Hash => Box::new(HashAccumulator::new()),
+        AccumulatorKind::Hash | AccumulatorKind::Adaptive => Box::new(HashAccumulator::new()),
         AccumulatorKind::Dense => Box::new(DenseAccumulator::new(ncols)),
         AccumulatorKind::Sort => Box::new(SortAccumulator::new()),
     }
@@ -501,7 +508,12 @@ mod tests {
 
     #[test]
     fn make_accumulator_dispatches() {
-        for kind in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
+        for kind in [
+            AccumulatorKind::Hash,
+            AccumulatorKind::Dense,
+            AccumulatorKind::Sort,
+            AccumulatorKind::Adaptive,
+        ] {
             let mut acc = make_accumulator(kind, 32);
             acc.add(7, 1.5);
             assert_eq!(acc.len(), 1);

@@ -14,7 +14,15 @@
 //!
 //! This mirrors the `kernel_flag` 1/2/3 dispatch of per-row adaptive
 //! SpGEMM implementations on KNL/GPU (Nagasaka et al.); the thresholds
-//! here are CPU-tuned defaults, overridable per call.
+//! here are CPU-tuned defaults. [`crate::spgemm_with`] runs this kernel
+//! with the defaults for [`crate::AccumulatorKind::Adaptive`];
+//! [`spgemm_row_adaptive`] takes explicit thresholds.
+//!
+//! The dense SPA is allocated only once a row selects it, and a row
+//! selects it only when its upper bound reaches `dense_fraction · ncols`:
+//! its `O(ncols)` slots never exceed `1 / dense_fraction` times that
+//! row's intermediate products, so a very wide but sparse output never
+//! pays for its width.
 //!
 //! Selection depends only on the *structure* of `A` and `B`, and every
 //! accumulator in the zoo merges duplicate columns in arrival order and
@@ -45,16 +53,6 @@ impl Default for AdaptiveThresholds {
     fn default() -> Self {
         AdaptiveThresholds { small_flops: 32, dense_fraction: 0.25 }
     }
-}
-
-/// Tuning knobs for [`spgemm_adaptive_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveOptions {
-    /// Kernel selection thresholds.
-    pub thresholds: AdaptiveThresholds,
-    /// Use the pool-parallel path (single-threaded runs fall through to
-    /// the serial path automatically).
-    pub parallel: bool,
 }
 
 /// The kernel chosen for one output row.
@@ -143,24 +141,24 @@ fn build_rows(
     (nnz, cols, vals)
 }
 
-/// `C = A · B` with per-row kernel selection, default thresholds,
-/// parallel.
-pub fn spgemm_adaptive(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    spgemm_adaptive_with(a, b, &AdaptiveOptions { parallel: true, ..Default::default() })
-}
-
-/// `C = A · B` with explicit adaptive options. Bit-identical to
-/// [`crate::rowwise::spgemm_serial`] for any thresholds.
-pub fn spgemm_adaptive_with(a: &CsrMatrix, b: &CsrMatrix, opts: &AdaptiveOptions) -> CsrMatrix {
+/// `C = A · B` with per-row kernel selection under thresholds `t`, on
+/// the pool when `parallel` (single-threaded runs fall through to the
+/// serial path). Bit-identical to [`crate::rowwise::spgemm_serial`] for
+/// any thresholds.
+pub fn spgemm_row_adaptive(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    t: &AdaptiveThresholds,
+    parallel: bool,
+) -> CsrMatrix {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
     let ub = flops_per_row(a, b);
-    let t = &opts.thresholds;
     let width = rayon::current_num_threads();
-    let parts: Vec<(Vec<usize>, Vec<ColIdx>, Vec<Value>)> = if opts.parallel && width > 1 {
+    let parts: Vec<(Vec<usize>, Vec<ColIdx>, Vec<Value>)> = if parallel && width > 1 {
         // Single-pass parallel: each FLOP-balanced chunk builds its own
         // segment; no symbolic re-run.
         let ranges = balanced_row_chunks(&ub, width * 8);
@@ -191,7 +189,8 @@ pub fn spgemm_adaptive_with(a: &CsrMatrix, b: &CsrMatrix, opts: &AdaptiveOptions
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rowwise::spgemm_serial;
+    use crate::rowwise::{spgemm_serial, spgemm_with, SpGemmOptions};
+    use crate::AccumulatorKind;
     use cw_sparse::gen::{er::erdos_renyi, grid::poisson2d, rmat::rmat, rmat::RmatParams};
 
     fn bits_eq(x: &CsrMatrix, y: &CsrMatrix) -> bool {
@@ -219,8 +218,7 @@ mod tests {
         for a in [poisson2d(14, 11), erdos_renyi(120, 7, 3), rmat(8, 8, RmatParams::default(), 9)] {
             let expect = spgemm_serial(&a, &a);
             for parallel in [false, true] {
-                let opts = AdaptiveOptions { parallel, ..Default::default() };
-                let got = spgemm_adaptive_with(&a, &a, &opts);
+                let got = spgemm_row_adaptive(&a, &a, &AdaptiveThresholds::default(), parallel);
                 assert!(bits_eq(&got, &expect), "parallel={parallel}");
             }
         }
@@ -238,19 +236,23 @@ mod tests {
             AdaptiveThresholds { small_flops: 0, dense_fraction: f64::INFINITY },
         ];
         for t in force {
-            let got =
-                spgemm_adaptive_with(&a, &a, &AdaptiveOptions { thresholds: t, parallel: false });
+            let got = spgemm_row_adaptive(&a, &a, &t, false);
             assert!(bits_eq(&got, &expect), "thresholds {t:?}");
         }
+    }
+
+    /// `C = A · B` through the accumulator knob, as the engine runs it.
+    fn via_knob(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+        spgemm_with(a, b, &SpGemmOptions { acc: AccumulatorKind::Adaptive, ..Default::default() })
     }
 
     #[test]
     fn empty_and_rectangular() {
         let z = CsrMatrix::zeros(5, 5);
-        assert_eq!(spgemm_adaptive(&z, &z).nnz(), 0);
+        assert_eq!(via_knob(&z, &z).nnz(), 0);
         let a = erdos_renyi(30, 4, 1);
         let b = cw_sparse::gen::er::erdos_renyi_rect(30, 8, 3, 2);
-        let got = spgemm_adaptive(&a, &b);
+        let got = via_knob(&a, &b);
         assert!(bits_eq(&got, &spgemm_serial(&a, &b)));
     }
 
@@ -259,6 +261,6 @@ mod tests {
     fn dimension_mismatch_panics() {
         let a = CsrMatrix::zeros(3, 4);
         let b = CsrMatrix::zeros(3, 4);
-        let _ = spgemm_adaptive(&a, &b);
+        let _ = spgemm_row_adaptive(&a, &b, &AdaptiveThresholds::default(), true);
     }
 }

@@ -8,7 +8,8 @@
 //!   generation stamping, and a sort-merge accumulator, all behind one trait.
 //! * [`rowwise`] — serial and rayon-parallel two-phase (symbolic + numeric)
 //!   Gustavson SpGEMM over CSR.
-//! * [`adaptive`] — the per-row kernel zoo: sorted-array / hash / dense
+//! * [`adaptive`] — the per-row kernel zoo behind
+//!   [`AccumulatorKind::Adaptive`]: sorted-array / hash / dense
 //!   accumulators selected per row from upper-bound FLOP estimates,
 //!   bit-identical to the serial reference.
 //! * [`flops`] — multiplication FLOP counts and the compression ratio
@@ -20,18 +21,15 @@
 //!   engine's `OutputShape` plan knob dispatches onto.
 //! * [`trace`] — extraction of the B-row access sequence a kernel performs,
 //!   consumed by `cw-cachesim` for deterministic locality measurements.
-//! * [`colwise`], [`heap`], [`pattern`] — alternative kernels (column-wise
-//!   Gustavson, k-way heap merge, symbolic-only) used for ablations and as
-//!   independent cross-validation paths.
+//! * [`pattern`] — the symbolic-only kernel, an independent
+//!   cross-validation path for output structure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accumulator;
 pub mod adaptive;
-pub mod colwise;
 pub mod flops;
-pub mod heap;
 pub mod pattern;
 pub mod rowwise;
 pub mod shape;
@@ -42,9 +40,7 @@ pub use accumulator::{
     Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
     SortedArrayAccumulator,
 };
-pub use adaptive::{spgemm_adaptive, spgemm_adaptive_with, AdaptiveOptions, AdaptiveThresholds};
-pub use colwise::spgemm_colwise;
-pub use heap::spgemm_heap;
+pub use adaptive::{spgemm_row_adaptive, AdaptiveThresholds};
 pub use pattern::spgemm_pattern;
 pub use rowwise::{spgemm, spgemm_serial, spgemm_with, SpGemmOptions};
 pub use shape::{apply_mask, row_topk};

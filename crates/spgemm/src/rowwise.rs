@@ -13,6 +13,7 @@
 //! accumulator per chunk.
 
 use crate::accumulator::{make_accumulator, Accumulator, AccumulatorKind};
+use crate::adaptive::{spgemm_row_adaptive, AdaptiveThresholds};
 use crate::flops::flops_per_row;
 use cw_sparse::{ColIdx, CsrMatrix, Value};
 use rayon::prelude::*;
@@ -45,13 +46,18 @@ pub fn spgemm_serial(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     spgemm_with(a, b, &SpGemmOptions { parallel: false, ..Default::default() })
 }
 
-/// `C = A · B` with explicit options.
+/// `C = A · B` with explicit options. [`AccumulatorKind::Adaptive`] runs
+/// the single-pass per-row kernel of [`crate::adaptive`] with its default
+/// thresholds (`chunks_per_thread` does not apply to it).
 pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
+    if opts.acc == AccumulatorKind::Adaptive {
+        return spgemm_row_adaptive(a, b, &AdaptiveThresholds::default(), opts.parallel);
+    }
     // At an effective width of 1 the two-phase parallel path would do the
     // symbolic accumulation twice on one thread for nothing — fall through
     // to the single-pass serial kernel (bit-identical output either way).
@@ -219,8 +225,13 @@ mod tests {
     use super::*;
     use cw_sparse::gen::{er::erdos_renyi, grid::poisson2d, rmat::rmat, rmat::RmatParams};
 
-    fn all_kinds() -> [AccumulatorKind; 3] {
-        [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort]
+    fn all_kinds() -> [AccumulatorKind; 4] {
+        [
+            AccumulatorKind::Hash,
+            AccumulatorKind::Dense,
+            AccumulatorKind::Sort,
+            AccumulatorKind::Adaptive,
+        ]
     }
 
     #[test]

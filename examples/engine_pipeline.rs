@@ -13,31 +13,28 @@ use clusterwise_spgemm::engine::Suggestion;
 use clusterwise_spgemm::prelude::*;
 use std::time::Instant;
 
-/// Walks the execution-backend seam: the same planned pipeline forced onto
-/// each registered backend, bit-identical outputs, different timings.
+/// Walks the execution-backend seam and the accumulator knob: the same
+/// pipeline on the serial oracle and the parallel path, then the row-wise
+/// pipeline under each accumulator — matching outputs, different timings.
 fn backend_tour(engine: &mut Engine, a: &CsrMatrix) {
-    println!("=== execution backends: one pipeline, four strategies ===");
+    println!("=== execution backends and accumulators: one product, five runs ===");
     let pipeline = engine.planner().plan(a);
-    let mut oracle: Option<CsrMatrix> = None;
-    for id in [
-        BackendId::SerialReference,
-        BackendId::ParallelCpu,
-        BackendId::TiledCpu,
-        BackendId::AdaptiveCpu,
-    ] {
-        // Forcing a backend is just a plan knob; each backend's
+    let rowwise = Plan { parallel: pipeline.parallel, ..Plan::baseline() };
+    let oracle = engine.multiply_planned(a, a, pipeline.on_backend(BackendId::SerialReference)).0;
+    let runs = [
+        ("parallel-cpu", pipeline),
+        ("row-wise hash", Plan { acc: AccumulatorKind::Hash, ..rowwise }),
+        ("row-wise dense", Plan { acc: AccumulatorKind::Dense, ..rowwise }),
+        ("row-wise adaptive", Plan { acc: AccumulatorKind::Adaptive, ..rowwise }),
+    ];
+    for (label, plan) in runs {
+        // Forcing a backend or an accumulator is just a plan knob; each
         // preparation caches under its own (fingerprint, knobs) key.
-        let (c, rep) = engine.multiply_planned(a, a, pipeline.on_backend(id));
-        println!("{:>16}: {}", id.name(), rep.summary());
-        match &oracle {
-            None => oracle = Some(c),
-            Some(reference) => assert!(
-                c.numerically_eq(reference, 0.0),
-                "{id:?} must be bit-identical to the serial oracle"
-            ),
-        }
+        let (c, rep) = engine.multiply_planned(a, a, plan);
+        println!("{label:>18}: {}", rep.summary());
+        assert!(c.numerically_eq(&oracle, 1e-9), "{label} must match the serial oracle");
     }
-    println!("all backends bit-identical to the serial-reference oracle ✓\n");
+    println!("every run matches the serial-reference oracle ✓\n");
 }
 
 fn main() {
@@ -116,8 +113,8 @@ fn main() {
     let (_, rep) = engine.multiply_planned(&mesh, &mesh, forced);
     println!("forced ClusterInPlace on the mesh: {}", rep.summary());
 
-    // The same pipeline on every execution backend (serial oracle, rayon
-    // reference, column-tiled cache blocking, per-row adaptive kernel zoo).
+    // The same product on both execution backends and under each
+    // row-wise accumulator (hash, dense, per-row adaptive).
     backend_tour(&mut engine, &blocks);
 
     let stats = engine.cache_stats();

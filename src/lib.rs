@@ -40,19 +40,20 @@
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/feed-back pipeline. A `Planner` profiles the
 //!   operand, prices every candidate pipeline (reordering × clustering ×
-//!   kernel × accumulator × **execution backend**) with a `CostModel`,
-//!   and ranks them by cost amortized under a caller-supplied
-//!   `PlanningPolicy` (expected reuse, preprocessing budget);
-//!   `PreparedMatrix` materializes the chosen plan once *on its backend*
-//!   (the `ExecutionBackend` trait owns both the backend-specific payload
-//!   and the kernel dispatch — `ParallelCpu` rayon by default, a
-//!   `SerialReference` oracle, a column-tiled `TiledCpu`, or anything
-//!   registered in a `BackendRegistry`); a fingerprint+knobs-keyed
+//!   kernel × accumulator) with a `CostModel`, and ranks them by cost
+//!   amortized under a caller-supplied `PlanningPolicy` (expected reuse,
+//!   preprocessing budget); row-wise candidates run the per-row adaptive
+//!   accumulator (`AccumulatorKind::Adaptive`). `PreparedMatrix`
+//!   materializes the chosen plan once *on its backend* (the
+//!   `ExecutionBackend` trait owns both the backend-specific payload and
+//!   the kernel dispatch — `ParallelCpu` rayon for every auto plan, a
+//!   `SerialReference` oracle, or anything registered in a
+//!   `BackendRegistry`); a fingerprint+knobs-keyed
 //!   `PlanCache` (entry- or byte-bounded, optional TTL) lets repeated
 //!   traffic skip preprocessing entirely; `Engine::multiply` executes
 //!   through the backend, reports per-stage timings, and feeds observed
 //!   kernel seconds into a per-operand `FeedbackStore` that demotes
-//!   mispredicted plans (and backends) so traffic converges on the
+//!   mispredicted plans so traffic converges on the
 //!   empirically fastest pipeline (with an optional evidence half-life so
 //!   drifted operands re-promote). The cost model's constants can also be
 //!   fitted *offline*: a `Calibrator` ingests measured bench-corpus runs
@@ -64,7 +65,8 @@
 //!   synthetic matrix generators, structural statistics, and the matrix
 //!   fingerprints keying the engine's plan cache.
 //! * [`spgemm`] — row-wise Gustavson SpGEMM (the baseline) with hash /
-//!   dense / sort accumulators, FLOP analysis, `SpGEMM_TopK`.
+//!   dense / sort accumulators or a per-row adaptive choice among them,
+//!   FLOP analysis, `SpGEMM_TopK`.
 //! * [`partition`] — multilevel graph & hypergraph partitioners and nested
 //!   dissection (METIS/PaToH stand-ins).
 //! * [`reorder`] — the ten row-reordering algorithms of the paper's study,
@@ -105,6 +107,7 @@
 //! full tour):
 //!
 //! ```
+//! use clusterwise_spgemm::engine::Suggestion;
 //! use clusterwise_spgemm::prelude::*;
 //!
 //! let a = clusterwise_spgemm::sparse::gen::banded::block_diagonal(96, (4, 8), 0.1, 7);
@@ -123,12 +126,15 @@
 //! assert_eq!(oracle.backend, BackendId::SerialReference);
 //! assert!(c_oracle.numerically_eq(&c_first, 0.0));
 //!
-//! // Or the per-row kernel zoo (sorted-array / hash / dense accumulator
-//! // chosen per output row from FLOP upper bounds) — still bit-identical.
-//! let zoo_plan = first.plan.on_backend(BackendId::AdaptiveCpu);
-//! let (c_zoo, zoo) = engine.multiply_planned(&a, &a, zoo_plan);
-//! assert_eq!(zoo.backend, BackendId::AdaptiveCpu);
-//! assert!(c_zoo.numerically_eq(&c_oracle, 0.0));
+//! // The accumulator is a plan knob too. Auto row-wise plans run the
+//! // per-row kernel zoo (sorted-array / hash / dense accumulator chosen
+//! // per output row from FLOP upper bounds); a fixed one is one field away
+//! // — still bit-identical.
+//! let rowwise = engine.planner().plan_for_suggestion(&a, Suggestion::LeaveOriginal);
+//! assert_eq!(rowwise.acc, AccumulatorKind::Adaptive);
+//! let hash_plan = Plan { acc: AccumulatorKind::Hash, ..rowwise };
+//! let (c_hash, _) = engine.multiply_planned(&a, &a, hash_plan);
+//! assert!(c_hash.numerically_eq(&c_oracle, 0.0));
 //! ```
 //!
 //! ## Quickstart: shaped products (masked & top-k)

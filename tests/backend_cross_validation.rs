@@ -6,34 +6,25 @@
 //! Bit-identity is achievable (not just approximate agreement) because the
 //! backends differ only in *where* work runs, never in the per-entry
 //! arithmetic order: the row-wise and cluster-wise kernels accumulate each
-//! output entry in ascending-`k` order whether execution is serial,
-//! rayon-chunked, or column-tiled, and every accumulator extracts sorted
-//! columns. Any divergence therefore indicates a real dispatch bug, not
-//! floating-point noise.
+//! output entry in ascending-`k` order whether execution is serial or
+//! rayon-chunked, and every accumulator — the per-row adaptive choice
+//! included — extracts sorted columns. Any divergence therefore indicates
+//! a real dispatch bug, not floating-point noise.
 
 use clusterwise_spgemm::engine::{
-    AdaptiveCpu, BackendId, BackendRegistry, ClusteringStrategy, ExecutionBackend, KernelChoice,
-    OutputShape, Plan, Planner, PreparedMatrix, Suggestion, TiledCpu,
+    BackendId, BackendRegistry, ClusteringStrategy, ExecutionBackend, KernelChoice, OutputShape,
+    Plan, Planner, PreparedMatrix, Suggestion,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::CooMatrix;
-use clusterwise_spgemm::spgemm::adaptive::AdaptiveThresholds;
+use clusterwise_spgemm::spgemm::adaptive::{spgemm_row_adaptive, AdaptiveThresholds};
 use clusterwise_spgemm::spgemm::flops::flops_per_row;
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const SEED: u64 = 7;
-
-/// A registry whose tiled backend uses a deliberately tiny tile width, so
-/// even the small test matrices split into many column tiles (the default
-/// 512-column tile would degenerate to the untiled path here).
-fn test_registry() -> BackendRegistry {
-    let mut reg = BackendRegistry::builtin();
-    reg.register(Arc::new(TiledCpu::new(16)));
-    reg
-}
 
 /// `A · b` under `plan` pinned to `id`, prepared and executed through the
 /// registry-resolved backend.
@@ -87,7 +78,7 @@ fn corpus() -> Vec<(&'static str, CsrMatrix)> {
 
 #[test]
 fn every_advisor_branch_is_bit_identical_across_backends() {
-    let reg = test_registry();
+    let reg = BackendRegistry::builtin();
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -105,10 +96,9 @@ fn every_advisor_branch_is_bit_identical_across_backends() {
 
 #[test]
 fn every_ranked_candidate_is_bit_identical_across_backends() {
-    // The planner's own fall-through list — including the cross-backend
-    // variants it generates — must be exact on every backend, so a
-    // feedback-driven backend switch can never change results.
-    let reg = test_registry();
+    // The planner's own fall-through list must be exact on every backend,
+    // so a feedback-driven plan switch can never change results.
+    let reg = BackendRegistry::builtin();
     let planner = Planner::default();
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
@@ -122,7 +112,7 @@ fn every_ranked_candidate_is_bit_identical_across_backends() {
 
 #[test]
 fn fixed_cluster_lengths_are_bit_identical_across_backends() {
-    let reg = test_registry();
+    let reg = BackendRegistry::builtin();
     let a = gen::grid::poisson2d(10, 9);
     for k in [1usize, 3, 8] {
         let plan = Plan {
@@ -137,36 +127,37 @@ fn fixed_cluster_lengths_are_bit_identical_across_backends() {
 #[test]
 fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
     // End-to-end through Engine (cache + feedback in the loop): an engine
-    // whose planner is pinned to each backend serves the same products as
-    // the oracle-pinned engine.
+    // whose planner is pinned to the parallel backend serves the same
+    // products as the oracle-pinned engine.
     let a = gen::mesh::tri_mesh(12, 12, true, 5);
     let mut oracle_engine = Engine::new(
         Planner::with_backend(SEED, BackendId::SerialReference),
         clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
     );
     let (oracle, _) = oracle_engine.multiply(&a, &a);
-    for id in [BackendId::ParallelCpu, BackendId::TiledCpu, BackendId::AdaptiveCpu] {
-        let mut engine = Engine::new(
-            Planner::with_backend(SEED, id),
-            clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
+    let id = BackendId::ParallelCpu;
+    let mut engine = Engine::new(
+        Planner::with_backend(SEED, id),
+        clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
+    );
+    for round in 0..3 {
+        let (got, rep) = engine.multiply(&a, &a);
+        assert_eq!(rep.backend, id, "round {round}");
+        assert!(
+            got.approx_eq(&oracle, 0.0),
+            "engine on {id:?} diverges from the oracle engine (round {round})"
         );
-        for round in 0..3 {
-            let (got, rep) = engine.multiply(&a, &a);
-            assert_eq!(rep.backend, id, "round {round}");
-            assert!(
-                got.approx_eq(&oracle, 0.0),
-                "engine on {id:?} diverges from the oracle engine (round {round})"
-            );
-        }
     }
 }
 
-/// Registries whose adaptive backend is pinned to the given thresholds
-/// (replacing the default-threshold builtin registration).
-fn adaptive_registry(thresholds: AdaptiveThresholds) -> BackendRegistry {
-    let mut reg = BackendRegistry::builtin();
-    reg.register(Arc::new(AdaptiveCpu::new(thresholds)));
-    reg
+/// Asserts the per-row adaptive kernel under thresholds `t`, serial and
+/// pooled, reproduces the serial fixed-accumulator kernel bit for bit.
+fn assert_adaptive_matches_serial(label: &str, a: &CsrMatrix, t: AdaptiveThresholds) {
+    let oracle = spgemm_serial(a, a);
+    for parallel in [false, true] {
+        let got = spgemm_row_adaptive(a, a, &t, parallel);
+        assert!(got.approx_eq(&oracle, 0.0), "{label} (thresholds {t:?}, parallel {parallel})");
+    }
 }
 
 #[test]
@@ -183,7 +174,6 @@ fn adaptive_kernel_boundary_rows_stay_bit_identical() {
     nonzero.sort_unstable();
     let p = nonzero[nonzero.len() / 2];
     let ncols = a.ncols as f64;
-    let plan = Plan::baseline();
     for (label, t) in [
         (
             "boundary row is the largest sorted-array row",
@@ -202,10 +192,7 @@ fn adaptive_kernel_boundary_rows_stay_bit_identical() {
             AdaptiveThresholds { small_flops: 0, dense_fraction: (p + 1) as f64 / ncols },
         ),
     ] {
-        let reg = adaptive_registry(t);
-        let oracle = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
-        let got = product_on(&reg, BackendId::AdaptiveCpu, &a, &a, plan);
-        assert!(got.approx_eq(&oracle, 0.0), "{label} (thresholds {t:?}, pivot ub {p})");
+        assert_adaptive_matches_serial(&format!("{label}, pivot ub {p}"), &a, t);
     }
 }
 
@@ -236,23 +223,21 @@ fn adaptive_degenerate_rows_stay_bit_identical() {
         AdaptiveThresholds { small_flops: 0, dense_fraction: 0.0 },
         AdaptiveThresholds { small_flops: u64::MAX, dense_fraction: f64::INFINITY },
     ] {
-        let reg = adaptive_registry(t);
-        for plan in [
-            Plan::baseline(),
-            Plan {
-                clustering: ClusteringStrategy::Fixed(3),
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
-        ] {
-            let oracle = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
-            let got = product_on(&reg, BackendId::AdaptiveCpu, &a, &a, plan);
-            assert!(
-                got.approx_eq(&oracle, 0.0),
-                "degenerate rows diverge under thresholds {t:?}, plan {}",
-                plan.describe()
-            );
-        }
+        assert_adaptive_matches_serial("degenerate rows", &a, t);
+    }
+    // The accumulator knob through both backends, row-wise and on a
+    // cluster-wise plan (which runs hash: no per-row dispatch there).
+    let reg = BackendRegistry::builtin();
+    for plan in [
+        Plan { acc: AccumulatorKind::Adaptive, ..Plan::baseline() },
+        Plan {
+            clustering: ClusteringStrategy::Fixed(3),
+            kernel: KernelChoice::ClusterWise,
+            acc: AccumulatorKind::Adaptive,
+            ..Plan::baseline()
+        },
+    ] {
+        assert_backends_match_oracle(&reg, "degenerate rows", &a, plan);
     }
 }
 
@@ -336,7 +321,7 @@ fn shaped_products_are_bit_identical_across_backends() {
     // outputs on every backend — including under reordering plans, where
     // the mask has to be permuted into internal row order alongside the
     // operand and the result un-permuted afterwards.
-    let reg = test_registry();
+    let reg = BackendRegistry::builtin();
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -372,7 +357,7 @@ fn shaped_degenerate_rows_stay_bit_identical() {
         }
     }
     let a = coo.to_csr();
-    let reg = test_registry();
+    let reg = BackendRegistry::builtin();
     for plan in [
         Plan::baseline(),
         Plan {
@@ -404,7 +389,7 @@ proptest! {
 
     #[test]
     fn random_matrices_are_bit_identical_across_backends(a in sparse_square(40, 220)) {
-        let reg = test_registry();
+        let reg = BackendRegistry::builtin();
         let planner = Planner::default();
         // The planner's top choice plus the two kernel-family extremes.
         let mut plans = vec![
@@ -438,7 +423,7 @@ proptest! {
         a in sparse_square(32, 160),
         k in 0usize..6,
     ) {
-        let reg = test_registry();
+        let reg = BackendRegistry::builtin();
         let plan = Planner::default().plan(&a);
         let full = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
         for (shape, mask) in [

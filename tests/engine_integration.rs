@@ -167,3 +167,23 @@ fn fixed_clustering_plan_is_exact_for_all_lengths() {
         assert!(got.numerically_eq(&expect, 1e-9), "fixed({k})");
     }
 }
+
+/// A 4 × 4·10⁹ right-hand side with a single nonzero at (1, ncols − 1).
+fn one_nonzero_wide_rhs() -> CsrMatrix {
+    let ncols = 4_000_000_000;
+    CsrMatrix::from_row_lists(ncols, vec![vec![], vec![(ncols - 1, 2.5)], vec![], vec![]])
+}
+
+#[test]
+fn wide_sparse_rhs_multiplies_on_the_auto_path() {
+    // A dense accumulator sized by b.ncols would need 32 GB here; the
+    // auto plan's per-row adaptive accumulator never allocates it.
+    let a = CsrMatrix::identity(4);
+    let b = one_nonzero_wide_rhs();
+    let mut engine = Engine::default();
+    let (c, report) = engine.multiply(&a, &b);
+    assert_eq!(report.plan.kernel, KernelChoice::RowWise, "{}", report.plan.describe());
+    assert_eq!(report.plan.acc, AccumulatorKind::Adaptive);
+    assert_eq!((c.nrows, c.ncols, c.nnz()), (4, b.ncols, 1));
+    assert_eq!(c.get(1, b.ncols - 1), Some(2.5));
+}

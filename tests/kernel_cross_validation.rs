@@ -1,12 +1,12 @@
-//! Cross-validation of all five independent SpGEMM implementations:
-//! row-wise (hash/dense/sort accumulators), column-wise, heap-merge,
-//! pattern-only, and cluster-wise. Any bug that slips one kernel's unit
-//! tests must also fool four structurally different implementations to
-//! pass here.
+//! Cross-validation of five independent SpGEMM implementations: row-wise
+//! two-phase, row-wise per-row adaptive (single pass), pattern-only,
+//! cluster-wise, and the cluster-wise row-major ablation. Any bug that
+//! slips one kernel's unit tests must also fool four structurally
+//! different implementations to pass here.
 
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
-use clusterwise_spgemm::spgemm::{spgemm_colwise, spgemm_heap, spgemm_pattern};
+use clusterwise_spgemm::spgemm::{spgemm_pattern, spgemm_row_adaptive, AdaptiveThresholds};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
@@ -23,10 +23,8 @@ fn five_kernels_agree_on_a_squared() {
     let cfg = ClusterConfig::default();
     for (name, a) in matrices() {
         let rowwise = spgemm_serial(&a, &a);
-        let colwise = spgemm_colwise(&a, &a);
-        assert!(colwise.approx_eq(&rowwise, 1e-9), "{name}: colwise");
-        let heap = spgemm_heap(&a, &a);
-        assert!(heap.approx_eq(&rowwise, 1e-9), "{name}: heap");
+        let adaptive = spgemm_row_adaptive(&a, &a, &AdaptiveThresholds::default(), true);
+        assert!(adaptive.approx_eq(&rowwise, 1e-9), "{name}: adaptive");
         let pattern = spgemm_pattern(&a, &a);
         assert_eq!(pattern.col_idx, rowwise.col_idx, "{name}: pattern");
         let cc = CsrCluster::from_csr(&a, &variable_clustering(&a, &cfg));

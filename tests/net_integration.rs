@@ -346,3 +346,29 @@ fn graceful_drain_finishes_in_flight_requests() {
     assert_eq!(stats.completed, 1, "drain must finish the in-flight request");
     assert_eq!(stats.rejected, 0);
 }
+
+#[test]
+fn wide_sparse_rhs_is_answered_and_the_server_keeps_serving() {
+    // 4×4 identity times a 4 × 4·10⁹ B with one nonzero: ~200 request
+    // bytes whose output width would size a 32 GB dense accumulator.
+    let ncols = 4_000_000_000;
+    let a = CsrMatrix::identity(4);
+    let b = CsrMatrix::from_row_lists(ncols, vec![vec![], vec![(ncols - 1, 2.5)], vec![], vec![]]);
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+
+    let resp = client.multiply(&a, &b).expect("wide product");
+    let c = &resp.product;
+    assert_eq!((c.nrows, c.ncols, c.nnz()), (4, ncols, 1));
+    assert_eq!(c.get(1, ncols - 1), Some(2.5));
+
+    // The same server answers the next, ordinary request.
+    let m = gen::grid::poisson2d(8, 8);
+    let next = client.multiply(&m, &m).expect("next request");
+    assert!(next.product.numerically_eq(&spgemm_serial(&m, &m), 1e-9));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.rejected, 0);
+}

@@ -21,8 +21,8 @@
 //! `rayon::with_pool_width`.
 
 use clusterwise_spgemm::engine::{
-    BackendId, BackendRegistry, ClusteringStrategy, ExecutionBackend, KernelChoice, Plan,
-    PreparedMatrix,
+    BackendId, BackendRegistry, ExecutionBackend, KernelChoice, Plan, Planner, PreparedMatrix,
+    PARALLEL_ROW_THRESHOLD,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
@@ -63,34 +63,38 @@ fn every_pool_width_is_bit_identical_to_the_serial_path() {
 
 #[test]
 fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
-    // The same invariant end to end through the backend seam: a
-    // ParallelCpu (and AdaptiveCpu) product prepared and executed inside
-    // a pinned-width pool is bit-identical to the SerialReference oracle.
+    // The same invariant end to end through the backend seam: every auto
+    // plan, prepared and executed on ParallelCpu inside a pinned-width
+    // pool (or the default pool), is bit-identical to the SerialReference
+    // oracle. Auto row-wise plans run the per-row adaptive accumulator.
     let reg = BackendRegistry::builtin();
-    let a = gen::mesh::tri_mesh(12, 12, true, 9);
-    let plans = [
-        Plan::baseline(),
-        Plan {
-            clustering: ClusteringStrategy::Fixed(4),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        },
-    ];
+    // Enough rows that auto plans take the parallel kernel path.
+    let a = gen::mesh::tri_mesh(24, 24, true, 9);
+    assert!(a.nrows >= PARALLEL_ROW_THRESHOLD);
+    let plans = Planner::default().plans_ranked(&a);
+    assert!(plans.iter().any(|p| p.kernel == KernelChoice::RowWise));
+    for plan in &plans {
+        assert!(plan.parallel, "{}", plan.describe());
+        if plan.kernel == KernelChoice::RowWise {
+            assert_eq!(plan.acc, AccumulatorKind::Adaptive, "{}", plan.describe());
+        }
+    }
     let product = |id: BackendId, plan: Plan| {
         let backend: Arc<dyn ExecutionBackend> = reg.resolve(id);
         PreparedMatrix::prepare_on(&backend, &a, plan, 7, &ClusterConfig::default()).multiply(&a)
     };
     for plan in plans {
         let oracle = product(BackendId::SerialReference, plan);
-        for width in [1usize, 2, 8] {
-            for id in [BackendId::ParallelCpu, BackendId::AdaptiveCpu] {
-                let got = rayon::with_pool_width(width, || product(id, plan));
-                assert!(
-                    bits_eq(&got, &oracle),
-                    "{id:?} at width {width} diverges from the oracle under {}",
-                    plan.describe()
-                );
-            }
+        for width in [Some(1usize), Some(2), None] {
+            let got = match width {
+                Some(w) => rayon::with_pool_width(w, || product(BackendId::ParallelCpu, plan)),
+                None => product(BackendId::ParallelCpu, plan),
+            };
+            assert!(
+                bits_eq(&got, &oracle),
+                "width {width:?} diverges from the oracle under {}",
+                plan.describe()
+            );
         }
     }
 }
